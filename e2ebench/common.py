@@ -30,10 +30,14 @@ BATCH_ITEMS = 1000
 #: Resources the server pre-creates for the instances sessions create; a
 #: resource may carry several instances, so sessions cycle through them.
 SESSION_RESOURCES = 1000
-#: Set-ups per run: set-up time is the median of this many.
-SETUPS = 3
-#: How many times a run closes and reopens the durable directory.
-RECOVERIES = 2
+#: A run is this many rounds of set-up -> a slice of the timed work ->
+#: close and reopen.  A shared host's CPU speed drifts over tens of
+#: seconds, so set-up and recovery samples spread over the whole run, not
+#: taken back to back, give medians that one slow stretch does not move.
+ROUNDS = 3
+#: How many times each round reopens the durable directory, each in a
+#: fresh interpreter.
+RECOVERIES = 3
 #: Phase deadlines (days) of the EU-deliverable model the workloads publish.
 DEADLINE_DAYS = {"elaboration": 30, "internalreview": 14, "finalassembly": 7,
                  "eureview": 60, "publication": 3}
@@ -117,6 +121,46 @@ def reviewer_parameters(model_document: Dict[str, Any],
                     and "reviewers" not in call.get("parameters", {})):
                 bindings[call["call_id"]] = {"reviewers": list(reviewers)}
     return bindings
+
+
+#: bulk_dispatch runs the dispatch experiment's deployment shape.
+BULK_SHARDS = 16
+BULK_COMPLETION_WORKERS = 256
+BULK_ACTION_LATENCY = (0.02, 0.03)
+
+
+def persistence_config(workload: str, directory):
+    """Where and how a workload's service keeps its durable state."""
+    from repro.persistence import PersistenceConfig
+
+    if workload == "replicated_writes":
+        return PersistenceConfig(str(directory), backend="sqlite", fsync="always")
+    return PersistenceConfig(str(directory))
+
+
+def build_service(workload: str, seed: int, config, environment):
+    """The service a workload runs, opened on ``config``'s directory."""
+    from repro.runtime.sharding import ShardedLifecycleManager
+    from repro.service import GeleeService
+
+    if workload != "bulk_dispatch":
+        return GeleeService(environment=environment, persistence=config)
+    manager = ShardedLifecycleManager(
+        environment, shard_count=BULK_SHARDS, rng_seed=seed,
+        simulated_action_latency=BULK_ACTION_LATENCY,
+        completion_workers=BULK_COMPLETION_WORKERS)
+    return GeleeService(manager=manager, persistence=config)
+
+
+def reopen(workload: str, seed: int, directory) -> Dict[str, Any]:
+    """Reopen a closed service's directory in a fresh interpreter
+    (``reopen.py``), as a restarted process would: its ``seconds``, the
+    recovered ``state`` and the records ``replayed``."""
+    finished = subprocess.run(
+        [sys.executable, str(BENCH_DIR / "reopen.py"), workload, str(seed),
+         str(directory)],
+        capture_output=True, text=True, check=True, timeout=120, cwd=str(ROOT))
+    return json.loads(finished.stdout)
 
 
 def durable_state(service) -> Dict[str, Any]:

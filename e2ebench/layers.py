@@ -329,6 +329,15 @@ def layer_metrics(recorder: Recorder, before: Dict[str, Any],
     return metrics
 
 
+def combine_rounds(reports: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
+    """One report from the rounds' reports: each metric's median, every flag."""
+    names = reports[0]["metrics"]
+    return {"metrics": {name: median([report["metrics"][name]
+                                      for report in reports])
+                        for name in names},
+            "flags": [flag for report in reports for flag in report["flags"]]}
+
+
 def handle_seconds(recorder: Recorder) -> Dict[str, float]:
     """Gateway handle time per request id (traced requests only)."""
     return {span.extra[1]: span.duration for span in recorder.of("gateway")

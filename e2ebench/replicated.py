@@ -6,7 +6,9 @@ The writer acknowledges each write through the in-process SDK client, so
 no HTTP sits on the write path: the acknowledgement is kernel plus an
 fsync per journal append.  It then waits, on a condition the replica's
 sync notifies (no polling thread), until the replica serves the new
-phase.  A checkpoint runs after every ``CHECKPOINT_EVERY`` writes.
+phase.  A checkpoint runs after every ``CHECKPOINT_EVERY`` writes.  A run
+is ``common.ROUNDS`` rounds, each on a cluster of its own that is closed
+and reopened at the round's end.
 """
 
 from __future__ import annotations
@@ -14,10 +16,7 @@ from __future__ import annotations
 import bisect
 import gc
 import http.client
-import json
 import random
-import subprocess
-import sys
 import threading
 import time
 from typing import Any, Dict, List
@@ -25,25 +24,23 @@ from typing import Any, Dict, List
 import common
 import layers
 from repro.client import GeleeClient
-from repro.persistence import PersistenceConfig
 from repro.plugins.setup import build_standard_environment
 from repro.replication import (HttpReplicationSource, ReadReplica,
                                ReplicationPrimary, StreamFollower)
-from repro.service import GeleeHttpServer, GeleeService, RestRouter
+from repro.service import GeleeHttpServer, RestRouter
 
 POPULATION = 2000
 CHECKPOINT_EVERY = 100
-#: Writes per second of ``--seconds``, about the seed commit's rate: the
-#: run does this fixed number of writes, so every run does the same work
-#: and a faster program simply finishes sooner.
+#: Writes per second of ``--seconds``, about the seed commit's rate: each
+#: round does this fixed number of writes, so every run does the same work
+#: and a faster program simply finishes sooner.  Every round does all of
+#: them, so the open journal segment, which each follower read re-scans,
+#: grows as long in a round as in one long run.
 WRITES_PER_SECOND = 30
 #: A write not served by the replica within this many seconds has failed.
 REPLICA_TIMEOUT = 10.0
 #: How long one follower long-poll parks before it re-arms.
 FOLLOWER_WAIT = 0.5
-#: Reopening this small primary takes about a second, so more reopens than
-#: ``common.RECOVERIES`` fit and steady its median.
-RECOVERIES = 5
 
 
 class Cluster:
@@ -51,10 +48,10 @@ class Cluster:
 
     def __init__(self, directory, seed: int):
         self.environment = build_standard_environment()
-        self.config = PersistenceConfig(str(directory), backend="sqlite",
-                                        fsync="always")
-        self.service = GeleeService(environment=self.environment,
-                                    persistence=self.config)
+        self.service = common.build_service(
+            "replicated_writes", seed,
+            common.persistence_config("replicated_writes", directory),
+            self.environment)
         ReplicationPrimary(self.service)
         self.router = RestRouter(self.service)
         self.http = GeleeHttpServer(self.router).start()
@@ -153,22 +150,19 @@ def _first_seq(args, data):
     return records[0]["seq"] if records else None
 
 
-def replicated_writes(seed: int, seconds: float, trace: bool) -> Dict[str, Any]:
-    directory = common.work_dir("replicated_writes")
-    cluster = None
+def _round(directory, seed: int, number: int, writes: int,
+           trace: bool) -> Dict[str, Any]:
+    """One round: set up a cluster, make ``writes`` writes, check the
+    replica, close the primary and reopen it ``common.RECOVERIES`` times."""
+    # The previous round's objects are the benchmark's garbage, not the
+    # program's: collect them so each set-up, and the timed phase, starts
+    # from the same heap.
+    gc.collect()
+    started = time.perf_counter()
+    cluster = Cluster(directory, seed)
+    setup = time.perf_counter() - started
+    connect = http.client.HTTPConnection.connect
     try:
-        setups = []
-        for attempt in range(common.SETUPS):
-            if cluster is not None:
-                cluster.close()
-                cluster = None
-            # The previous set-up's objects are the benchmark's garbage, not
-            # the program's: collect them so each set-up, and the timed
-            # phase, starts from the same heap.
-            gc.collect()
-            started = time.perf_counter()
-            cluster = Cluster(directory / "setup-{}".format(attempt), seed)
-            setups.append(time.perf_counter() - started)
         recorder = layers.Recorder() if trace else None
         if recorder is not None:
             layers.install(recorder, cluster.service, cluster.router)
@@ -182,7 +176,7 @@ def replicated_writes(seed: int, seconds: float, trace: bool) -> Dict[str, Any]:
         gc.collect()
         cluster.follow()
         order = list(cluster.ids)
-        random.Random("{}:writes".format(seed)).shuffle(order)
+        random.Random("{}:writes:{}".format(seed, number)).shuffle(order)
         acks, lags, traced_acks, untraced_acks = [], [], [], []
         request_ids = []
         failed, problems = 0, []
@@ -190,20 +184,19 @@ def replicated_writes(seed: int, seconds: float, trace: bool) -> Dict[str, Any]:
         began_at = cluster.service.manager.clock.now()
         if recorder is not None:
             recorder.counting = True
-        planned = min(len(order), round(seconds * WRITES_PER_SECOND))
-        writes = 0
+        written = 0
         started = time.perf_counter()
         if recorder is not None:
             # The follower and the primary's stream handlers always trace;
             # only the writer's own thread alternates traced and untraced
             # writes, for the tracing overhead on the acknowledgement.
             recorder.global_on = True
-        while writes < planned:
-            instance_id = order[writes]
-            traced = trace and writes % 2 == 0
+        while written < writes:
+            instance_id = order[written]
+            traced = trace and written % 2 == 0
             if recorder is not None:
                 recorder.set_thread(traced)
-            writes += 1
+            written += 1
             begun = time.perf_counter()
             data, envelope = cluster.client.call(
                 "POST", "/v2/instances/{}:advance".format(instance_id), body={})
@@ -222,7 +215,7 @@ def replicated_writes(seed: int, seconds: float, trace: bool) -> Dict[str, Any]:
                 failed += 1
                 problems.append("{} at {} on the primary, served {}".format(
                     instance_id, phase, served))
-            if writes % CHECKPOINT_EVERY == 0:
+            if written % CHECKPOINT_EVERY == 0:
                 if recorder is not None:
                     recorder.set_thread(True)
                 cluster.client.persistence_checkpoint()
@@ -235,59 +228,82 @@ def replicated_writes(seed: int, seconds: float, trace: bool) -> Dict[str, Any]:
         cluster.follower = None
         peak_rss = common.peak_rss_mb()
         after = layers.program_counts(cluster.service)
-        for instance_id in order[:writes]:
+        for instance_id in order[:written]:
             primary = cluster.service.manager.instance(instance_id)
             if not cluster.serves(instance_id, primary.current_phase_id):
                 failed += 1
                 problems.append("replica differs on {}".format(instance_id))
         layer_report = None
         if recorder is not None:
-            layer_report = _layers(recorder, cluster, before, after, writes,
+            layer_report = _layers(recorder, cluster, before, after, written,
                                    len(traced_acks), began_at, request_ids,
                                    lags, traced_acks, untraced_acks)
         expected = common.durable_state(cluster.service)
-        config = cluster.config
-        cluster.close()
-        cluster = None
-        recoveries, replayed = [], 0
-        for _ in range(RECOVERIES):
-            # A restarted process: this one's heap and threads stay out of it.
-            reopened = json.loads(subprocess.run(
-                [sys.executable, str(common.BENCH_DIR / "reopen.py"),
-                 config.directory, config.backend, config.fsync],
-                capture_output=True, text=True, check=True,
-                timeout=120).stdout)
-            if reopened["state"] != expected:
-                failed += 1
-                problems.append("recovered primary differs from the closed one")
-            recoveries.append(reopened["seconds"])
-            replayed = reopened["replayed"]
-        if layer_report is not None:
-            layer_report["metrics"]["recovery.records_replayed"] = float(replayed)
-        result = {
-            "attempted": writes, "failed": failed, "problems": problems[:5],
-            "latency": common.timing(untraced_acks if trace else acks),
-            "lag": common.timing(lags),
-            "setup_s": setups,
-            "requests_per_s": writes / elapsed,
-            "advances_per_s": writes / elapsed,
-            "recovery_s": recoveries,
-            "peak_rss_mb": peak_rss,
-            "mix": {"operation": "one single-instance advance (write ack)",
-                    "clients": 1, "writes": writes, "write_share": 1.0,
-                    "read_share": 0.0, "route_counts": {"advance": writes},
-                    "checkpoint_every": CHECKPOINT_EVERY,
-                    "checkpoints": writes // CHECKPOINT_EVERY,
-                    "items_per_request": 1, "actions_per_advance": 2.0,
-                    "population": POPULATION},
-        }
-        if layer_report is not None:
-            result["layers"] = layer_report
-        return result
     finally:
-        if cluster is not None:
-            cluster.close()
+        http.client.HTTPConnection.connect = connect
+        cluster.close()
+    recoveries, replayed = [], 0
+    for _ in range(common.RECOVERIES):
+        reopened = common.reopen("replicated_writes", seed, directory)
+        if reopened["state"] != expected:
+            failed += 1
+            problems.append("recovered primary differs from the closed one")
+        recoveries.append(reopened["seconds"])
+        replayed = reopened["replayed"]
+    if layer_report is not None:
+        layer_report["metrics"]["recovery.records_replayed"] = float(replayed)
+    return {"setup": setup, "elapsed": elapsed, "writes": written,
+            "failed": failed, "problems": problems, "acks": acks,
+            "traced_acks": traced_acks, "untraced_acks": untraced_acks,
+            "lags": lags, "recoveries": recoveries, "peak_rss": peak_rss,
+            "layers": layer_report}
+
+
+def replicated_writes(seed: int, seconds: float, trace: bool) -> Dict[str, Any]:
+    directory = common.work_dir("replicated_writes")
+    per_round = max(1, round(seconds * WRITES_PER_SECOND))
+    try:
+        rounds = [_round(directory / "round-{}".format(number), seed, number,
+                         per_round, trace)
+                  for number in range(common.ROUNDS)]
+    finally:
         common.remove_work_dir(directory)
+
+    def joined(key):
+        return [value for played in rounds for value in played[key]]
+
+    writes = sum(played["writes"] for played in rounds)
+    elapsed = sum(played["elapsed"] for played in rounds)
+    lags = joined("lags")
+    result = {
+        "attempted": writes, "failed": sum(played["failed"] for played in rounds),
+        "problems": joined("problems")[:5],
+        "latency": common.timing(joined("untraced_acks") if trace else joined("acks")),
+        "lag": common.timing(lags),
+        "setup_s": [played["setup"] for played in rounds],
+        "requests_per_s": writes / elapsed,
+        "advances_per_s": writes / elapsed,
+        "recovery_s": joined("recoveries"),
+        "peak_rss_mb": max(played["peak_rss"] for played in rounds),
+        "mix": {"operation": "one single-instance advance (write ack)",
+                "clients": 1, "writes": writes, "write_share": 1.0,
+                "read_share": 0.0, "route_counts": {"advance": writes},
+                "rounds": common.ROUNDS,
+                "checkpoint_every": CHECKPOINT_EVERY,
+                "checkpoints": sum(played["writes"] // CHECKPOINT_EVERY
+                                   for played in rounds),
+                "items_per_request": 1, "actions_per_advance": 2.0,
+                "population": POPULATION},
+    }
+    if trace:
+        report = layers.combine_rounds([played["layers"] for played in rounds])
+        # Over the whole run, as the untraced latency is.
+        report["metrics"]["replication.lag_p50_ms"] = common.timing(lags)["median"]
+        report["metrics"]["replication.lag_p99_ms"] = common.timing(lags)["tail"]
+        report["metrics"]["trace.overhead_pct"] = common.overhead_pct(
+            joined("traced_acks"), joined("untraced_acks"))
+        result["layers"] = report
+    return result
 
 
 def _layers(recorder, cluster, before, after, writes, traced_writes, began_at,

@@ -8,11 +8,17 @@ Workloads (``BENCHMARK.json`` gives the reason for each):
 
 * ``http_sessions`` — two keep-alive HTTP clients running user sessions
   against a durable single-manager service in its own process;
-* ``bulk_dispatch`` — one keep-alive client advancing 10k instances through
-  ``batchAdvance`` on the 16-shard, 256-completion-worker deployment with
-  20-30 ms simulated action latency;
+* ``bulk_dispatch`` — one keep-alive client advancing groups of 1000
+  instances through ``batchAdvance`` on the 16-shard, 256-completion-worker
+  deployment with 20-30 ms simulated action latency;
 * ``replicated_writes`` — fsync-per-append writes on a durable primary, each
   waited for on a read replica that follows over loopback HTTP.
+
+A run is ``common.ROUNDS`` rounds.  Each sets the deployment up afresh,
+runs its share of the timed work, closes the service and reopens its
+directory ``common.RECOVERIES`` times in fresh interpreters.  ``setup_s``
+and ``recovery_s`` are medians over all rounds, so their samples are
+spread over the whole run.
 
 With ``--trace 0`` the last line of stdout is one JSON object holding every
 end-to-end metric; with ``--trace 1`` it holds every per-layer metric,

@@ -9,9 +9,10 @@ and answers control commands, one JSON line each, on stdin:
 * ``end`` — it is over: snapshot them again (``ops``/``traced_ops`` give
   the operation counts the per-op figures divide by).
 * ``check`` — workload-specific output checks against the live state.
-* ``finish`` — stop serving, close the service, then reopen its directory
-  ``RECOVERIES`` times, verifying each recovered state; report peak memory,
-  recovery times and, in a traced run, the per-layer metrics.
+* ``finish`` — stop serving and close the service; report peak memory,
+  the durable state a recovery must reproduce (``reopen.py`` reopens the
+  directory in fresh interpreters once this process has exited) and, in a
+  traced run, the per-layer metrics.
 
 Run only by ``run.py``.
 """
@@ -19,36 +20,17 @@ Run only by ``run.py``.
 from __future__ import annotations
 
 import argparse
-import gc
 import json
+import os
 import sys
-import time
 
 import common
 
 common.load_program()
 
 import layers  # noqa: E402
-from repro.persistence import PersistenceConfig  # noqa: E402
 from repro.plugins.setup import build_standard_environment  # noqa: E402
-from repro.runtime.sharding import ShardedLifecycleManager  # noqa: E402
-from repro.service import GeleeHttpServer, GeleeService, RestRouter  # noqa: E402
-
-#: bulk_dispatch runs the dispatch experiment's deployment shape.
-BULK_SHARDS = 16
-BULK_COMPLETION_WORKERS = 256
-BULK_ACTION_LATENCY = (0.02, 0.03)
-
-
-def build_service(workload: str, seed: int, config: PersistenceConfig,
-                  environment) -> GeleeService:
-    if workload == "http_sessions":
-        return GeleeService(environment=environment, persistence=config)
-    manager = ShardedLifecycleManager(
-        environment, shard_count=BULK_SHARDS, rng_seed=seed,
-        simulated_action_latency=BULK_ACTION_LATENCY,
-        completion_workers=BULK_COMPLETION_WORKERS)
-    return GeleeService(manager=manager, persistence=config)
+from repro.service import GeleeHttpServer, RestRouter  # noqa: E402
 
 
 def create_documents(environment, seed: int) -> dict:
@@ -91,9 +73,10 @@ class Server:
         self.workload = args.workload
         self.seed = args.seed
         self.environment = build_standard_environment()
-        self.config = PersistenceConfig(args.dir + "/durable")
-        self.service = build_service(self.workload, self.seed, self.config,
-                                     self.environment)
+        self.config = common.persistence_config(self.workload,
+                                                args.dir + "/durable")
+        self.service = common.build_service(self.workload, self.seed,
+                                            self.config, self.environment)
         self.documents_path = args.dir + "/documents.json"
         with open(self.documents_path, "w") as handle:
             json.dump(create_documents(self.environment, self.seed), handle)
@@ -134,29 +117,9 @@ class Server:
         reply = {"peak_rss_mb": common.peak_rss_mb()}
         if self.recorder is not None:
             reply["layers"] = self.layer_report(command.get("request_ids", []))
-        expected = common.durable_state(self.service)
+        reply["expected"] = common.durable_state(self.service)
         self.service.close()
-        recoveries, problems, replayed = [], [], 0
         self.service = None
-        for _ in range(common.RECOVERIES):
-            # The closed service is garbage now; collect it outside the
-            # timed reopen.
-            gc.collect()
-            started = time.perf_counter()
-            # A fresh environment, as a restarted process would build: one
-            # shared with the closed services would keep them all alive.
-            recovered = build_service(self.workload, self.seed, self.config,
-                                      build_standard_environment())
-            if common.durable_state(recovered) != expected:
-                problems.append("recovered state differs from the closed service")
-            recoveries.append(time.perf_counter() - started)
-            replayed = recovered.recovery_report.records_replayed
-            recovered.close()
-        reply.update({"recovery_s": recoveries, "recovery_problems": problems,
-                      "records_replayed": replayed,
-                      "instances": len(expected["instances"])})
-        if "layers" in reply:
-            reply["layers"]["metrics"]["recovery.records_replayed"] = float(replayed)
         return reply
 
     def layer_report(self, request_ids):
@@ -189,6 +152,10 @@ def main() -> int:
             reply = {"error": "{}: {}".format(type(exc).__name__, exc)}
         print(json.dumps(reply, default=str), flush=True)
         if name == "finish":
+            if "error" not in reply:
+                # The service is closed: tearing down its heap takes
+                # seconds and measures nothing.
+                os._exit(0)
             return 0
     server.http.stop(close_service=True)
     return 0

@@ -15,6 +15,7 @@ from collections import Counter
 from typing import Any, Dict, List, Optional, Tuple
 
 import common
+import layers
 from repro.templates.eu_deliverable import EU_DELIVERABLE_PHASES
 
 #: http_sessions: client threads, each on its own persistent connection.
@@ -51,6 +52,14 @@ class Tally:
             if len(self.problems) < 5:
                 self.problems.append(problem)
 
+    def merge(self, other: "Tally") -> None:
+        """Add one round's requests and failures to the run's."""
+        self.samples.extend(other.samples)
+        self.routes.update(other.routes)
+        for problem in other.problems:
+            self.fail(problem, 0)
+        self.failed += other.failed
+
 
 def _ok(status: int, envelope: Any) -> bool:
     return status < 300 and isinstance(envelope, dict) and envelope.get("error") is None
@@ -85,32 +94,28 @@ def seed_population(client: common.KeepAliveClient, model: Dict[str, Any],
 
 
 class Deployment:
-    """Set up a workload's server ``common.SETUPS`` times; keep the last."""
+    """One set-up of a workload's server: launch it, publish the model and
+    seed the population, timed as ``setup_seconds``."""
 
     def __init__(self, workload: str, seed: int, trace: bool, directory,
                  model: Dict[str, Any], parameters: Dict[str, Any] = None):
-        self.setup_seconds = []
         self.server = None
+        started = time.perf_counter()
         try:
-            for attempt in range(common.SETUPS):
-                if self.server is not None:
-                    self.server.close()
-                started = time.perf_counter()
-                self.server = common.ServerProcess(
-                    workload, seed, trace, directory / "setup-{}".format(attempt))
-                with open(self.server.resources) as handle:
-                    self.documents = json.load(handle)
-                client = common.KeepAliveClient(self.server.port, "coordinator")
-                try:
-                    self.model_uri, self.ids = seed_population(
-                        client, model, self.documents["population"], seed,
-                        parameters)
-                finally:
-                    client.close()
-                self.setup_seconds.append(time.perf_counter() - started)
+            self.server = common.ServerProcess(workload, seed, trace, directory)
+            with open(self.server.resources) as handle:
+                self.documents = json.load(handle)
+            client = common.KeepAliveClient(self.server.port, "coordinator")
+            try:
+                self.model_uri, self.ids = seed_population(
+                    client, model, self.documents["population"], seed,
+                    parameters)
+            finally:
+                client.close()
         except BaseException:
             self.close()
             raise
+        self.setup_seconds = time.perf_counter() - started
 
     def close(self) -> None:
         if self.server is not None:
@@ -126,10 +131,7 @@ def _finish(deployment: Deployment, tally: Tally, ops: int, traced_ops: int,
     if check["failed"]:
         tally.fail("; ".join(check["problems"]), check["failed"])
     traced_ids = [rid for _, _, traced, rid in tally.samples if traced and rid]
-    final = server.command("finish", request_ids=traced_ids if trace else [])
-    for problem in final["recovery_problems"]:
-        tally.fail(problem)
-    return final
+    return server.command("finish", request_ids=traced_ids if trace else [])
 
 
 def _transport(tally: Tally, handle_seconds: Dict[str, float]) -> float:
@@ -146,10 +148,97 @@ def _layer_report(final: Dict[str, Any], tally: Tally,
     metrics["http.transport_ms"] = _transport(tally, report["handle_seconds"])
     metrics["http.connects_per_request"] = (
         sum(c.connects for c in clients) / max(1, sum(c.requests for c in clients)))
-    metrics["trace.overhead_pct"] = common.overhead_pct(
-        [s for _, s, traced, _ in tally.samples if traced],
-        [s for _, s, traced, _ in tally.samples if not traced])
     return {"metrics": metrics, "flags": report["flags"]}
+
+
+class Rounds:
+    """The rounds of one run, added up."""
+
+    def __init__(self):
+        self.tally = Tally()
+        self.setups: List[float] = []
+        self.recoveries: List[float] = []
+        self.elapsed = 0.0
+        self.attempted = 0
+        self.advanced = 0
+        self.peak_rss_mb = 0.0
+        self.instances = 0
+        self.reports: List[Dict[str, Any]] = []
+
+
+def run_rounds(workload: str, seed: int, trace: bool, model: Dict[str, Any],
+               parameters: Optional[Dict[str, Any]], play) -> Rounds:
+    """``common.ROUNDS`` rounds of: set up a fresh server, ``play`` one slice
+    of the timed work against it, stop it, then reopen its directory
+    ``common.RECOVERIES`` times, verifying the recovered state.
+
+    ``play(number, deployment, tally)`` returns the slice's timed
+    ``elapsed`` seconds, ``attempted`` and ``advanced`` counts, the
+    ``ops``/``traced_ops`` the per-op figures divide by, how many of the
+    deployment's ids it ``touched`` and the ``clients`` it used.
+    """
+    directory = common.work_dir(workload)
+    rounds = Rounds()
+    try:
+        for number in range(common.ROUNDS):
+            round_directory = directory / "round-{}".format(number)
+            deployment = Deployment(workload, seed, trace, round_directory,
+                                    model, parameters)
+            try:
+                tally = Tally()
+                deployment.server.command("begin")
+                played = play(number, deployment, tally)
+                final = _finish(deployment, tally, played["ops"],
+                                played["traced_ops"], trace,
+                                played.get("touched", 0))
+            finally:
+                deployment.close()
+            for _ in range(common.RECOVERIES):
+                reopened = common.reopen(workload, seed,
+                                         round_directory / "durable")
+                if reopened["state"] != final["expected"]:
+                    tally.fail("recovered state differs from the closed service")
+                rounds.recoveries.append(reopened["seconds"])
+            rounds.tally.merge(tally)
+            rounds.setups.append(deployment.setup_seconds)
+            rounds.elapsed += played["elapsed"]
+            rounds.attempted += played["attempted"]
+            rounds.advanced += played["advanced"]
+            rounds.peak_rss_mb = max(rounds.peak_rss_mb, final["peak_rss_mb"])
+            rounds.instances = len(final["expected"]["instances"])
+            if trace and played["traced_ops"]:
+                report = _layer_report(final, tally, played["clients"])
+                report["metrics"]["recovery.records_replayed"] = float(
+                    reopened["replayed"])
+                rounds.reports.append(report)
+    finally:
+        common.remove_work_dir(directory)
+    return rounds
+
+
+def _result(rounds: Rounds, trace: bool, mix: Dict[str, Any]) -> Dict[str, Any]:
+    samples = rounds.tally.samples
+    result = {
+        "attempted": rounds.attempted, "failed": rounds.tally.failed,
+        "problems": rounds.tally.problems,
+        "latency": common.timing([s * 1e3 for _, s, t, _ in samples
+                                  if not t or not trace]),
+        "setup_s": rounds.setups,
+        "requests_per_s": len(samples) / rounds.elapsed,
+        "advances_per_s": rounds.advanced / rounds.elapsed,
+        "recovery_s": rounds.recoveries,
+        "peak_rss_mb": rounds.peak_rss_mb,
+        "mix": dict(mix, rounds=common.ROUNDS, route_counts=dict(rounds.tally.routes)),
+    }
+    if trace:
+        report = layers.combine_rounds(rounds.reports)
+        # Traced and untraced requests may fall in different rounds, so the
+        # overhead compares them over the whole run.
+        report["metrics"]["trace.overhead_pct"] = common.overhead_pct(
+            [s for _, s, traced, _ in samples if traced],
+            [s for _, s, traced, _ in samples if not traced])
+        result["layers"] = report
+    return result
 
 
 # ------------------------------------------------------------ http_sessions
@@ -227,39 +316,34 @@ def _session(client: common.KeepAliveClient, tally: Tally, number: int,
 
 
 def http_sessions(seed: int, seconds: float, trace: bool) -> Dict[str, Any]:
-    directory = common.work_dir("http_sessions")
     model = common.eu_model_document()
     reviewers = ["reviewer-{}".format(random.Random(seed).randrange(1000)),
                  "reviewer-board"]
     parameters = common.reviewer_parameters(model, reviewers)
-    deployment = None
-    try:
-        deployment = Deployment("http_sessions", seed, trace, directory, model,
-                                parameters)
-        tally = Tally()
-        owners = common.owners(seed)
-        moves = Counter()
+    owners = common.owners(seed)
+    planned = max(SESSION_CLIENTS * common.ROUNDS,
+                  round(seconds * SESSIONS_PER_SECOND))
+
+    def play(number: int, deployment: Deployment, tally: Tally) -> Dict[str, Any]:
+        first = planned * number // common.ROUNDS
+        last = planned * (number + 1) // common.ROUNDS
         clients = [common.KeepAliveClient(deployment.server.port, "owner")
                    for _ in range(SESSION_CLIENTS)]
-        sessions = Counter()
-
-        planned = max(SESSION_CLIENTS, round(seconds * SESSIONS_PER_SECOND))
+        moves = Counter()
 
         def loop(thread: int) -> None:
-            number = thread
-            while number < planned:
-                traced = trace and (number // SESSION_CLIENTS) % 2 == 0
+            session = first + thread
+            while session < last:
+                traced = trace and (session // SESSION_CLIENTS) % 2 == 0
                 try:
                     moves[thread] += _session(
-                        clients[thread], tally, number, seed,
+                        clients[thread], tally, session, seed,
                         deployment.model_uri, deployment.documents["sessions"],
                         owners, parameters, traced, thread)
                 except Exception as exc:  # noqa: BLE001 - a failed session is counted
-                    tally.fail("session {}: {!r}".format(number, exc))
-                sessions[thread] += 1
-                number += SESSION_CLIENTS
+                    tally.fail("session {}: {!r}".format(session, exc))
+                session += SESSION_CLIENTS
 
-        deployment.server.command("begin")
         started = time.perf_counter()
         threads = [threading.Thread(target=loop, args=(index,))
                    for index in range(SESSION_CLIENTS)]
@@ -271,40 +355,25 @@ def http_sessions(seed: int, seconds: float, trace: bool) -> Dict[str, Any]:
         for client in clients:
             client.close()
         requests = len(tally.samples)
-        traced_ops = sum(1 for sample in tally.samples if sample[2])
-        final = _finish(deployment, tally, requests, traced_ops, trace)
-        latencies = [s * 1e3 for _, s, t, _ in tally.samples if not t or not trace]
-        writes = sum(tally.routes[r] for r in ("create", "start", "advance"))
-        result = {
-            "attempted": requests, "failed": tally.failed,
-            "problems": tally.problems,
-            "latency": common.timing(latencies),
-            "setup_s": deployment.setup_seconds,
-            "requests_per_s": requests / elapsed,
-            "advances_per_s": sum(moves.values()) / elapsed,
-            "recovery_s": final["recovery_s"],
-            "peak_rss_mb": final["peak_rss_mb"],
-            "mix": {"operation": "one HTTP request",
-                    "clients": SESSION_CLIENTS, "sessions": sum(sessions.values()),
-                    "requests_per_session": 15,
-                    "write_share": writes / max(1, requests),
-                    "read_share": 1 - writes / max(1, requests),
-                    "route_counts": dict(tally.routes),
-                    "items_per_request": 1,
-                    # A session enters every phase once.
-                    "actions_per_advance": sum(
-                        len(phase["actions"]) for phase in model["phases"])
-                    / len(model["phases"]),
-                    "population": common.HTTP_POPULATION,
-                    "instances_at_end": final["instances"]},
-        }
-        if trace:
-            result["layers"] = _layer_report(final, tally, clients)
-        return result
-    finally:
-        if deployment is not None:
-            deployment.close()
-        common.remove_work_dir(directory)
+        return {"elapsed": elapsed, "attempted": requests, "ops": requests,
+                "traced_ops": sum(1 for sample in tally.samples if sample[2]),
+                "advanced": sum(moves.values()), "clients": clients}
+
+    rounds = run_rounds("http_sessions", seed, trace, model, parameters, play)
+    requests = len(rounds.tally.samples)
+    writes = sum(rounds.tally.routes[r] for r in ("create", "start", "advance"))
+    return _result(rounds, trace, {
+        "operation": "one HTTP request", "clients": SESSION_CLIENTS,
+        "sessions": planned, "requests_per_session": 15,
+        "write_share": writes / max(1, requests),
+        "read_share": 1 - writes / max(1, requests),
+        "items_per_request": 1,
+        # A session enters every phase once.
+        "actions_per_advance": sum(len(phase["actions"])
+                                   for phase in model["phases"])
+        / len(model["phases"]),
+        "population": common.HTTP_POPULATION,
+        "instances_at_end": rounds.instances})
 
 
 # ------------------------------------------------------------ bulk_dispatch
@@ -336,25 +405,22 @@ def _advance_batch(client, tally: Tally, chunk: List[str], phase: str,
 
 def bulk_dispatch(seed: int, seconds: float, trace: bool) -> Dict[str, Any]:
     """Groups of ``BATCH_ITEMS`` instances go through work -> review -> end,
-    one batchAdvance per step.  The number of groups is fixed by
-    ``seconds`` (one per ``SECONDS_PER_GROUP``, about what a group takes at
-    the seed commit), so every run does the same work and a faster program
-    simply finishes sooner."""
-    directory = common.work_dir("bulk_dispatch")
-    deployment = None
-    try:
-        deployment = Deployment("bulk_dispatch", seed, trace, directory,
-                                common.bulk_model_document())
-        tally = Tally()
+    one batchAdvance per step, the groups shared out over the rounds.  The
+    number of groups is fixed by ``seconds`` (one per ``SECONDS_PER_GROUP``,
+    about what a group takes at the seed commit), so every run does the
+    same work and a faster program simply finishes sooner."""
+    groups = max(common.ROUNDS, round(seconds / SECONDS_PER_GROUP))
+    rng = random.Random("{}:items".format(seed))
+
+    def play(number: int, deployment: Deployment, tally: Tally) -> Dict[str, Any]:
+        first = groups * number // common.ROUNDS
+        last = min(groups * (number + 1) // common.ROUNDS,
+                   first + len(deployment.ids) // common.BATCH_ITEMS)
         client = common.KeepAliveClient(deployment.server.port, "coordinator")
-        rng = random.Random("{}:items".format(seed))
         advanced = attempted = 0
-        groups = min(len(deployment.ids) // common.BATCH_ITEMS,
-                     max(1, round(seconds / SECONDS_PER_GROUP)))
-        deployment.server.command("begin")
         started = time.perf_counter()
-        for group in range(groups):
-            offset = group * common.BATCH_ITEMS
+        for group in range(first, last):
+            offset = (group - first) * common.BATCH_ITEMS
             chunk = deployment.ids[offset:offset + common.BATCH_ITEMS]
             traced = trace and group % 2 == 0
             for phase in BULK_PHASES:
@@ -365,33 +431,19 @@ def bulk_dispatch(seed: int, seconds: float, trace: bool) -> Dict[str, Any]:
                     "e2e-{}-{}-{}".format(int(traced), group, phase))
         elapsed = time.perf_counter() - started
         client.close()
-        touched = attempted // len(BULK_PHASES)
-        final = _finish(deployment, tally, advanced,
-                        sum(1 for sample in tally.samples if sample[2])
-                        * common.BATCH_ITEMS, trace, touched=touched)
-        latencies = [s * 1e3 for _, s, t, _ in tally.samples if not t or not trace]
-        result = {
-            "attempted": attempted, "failed": tally.failed,
-            "problems": tally.problems,
-            "latency": common.timing(latencies),
-            "setup_s": deployment.setup_seconds,
-            "requests_per_s": len(tally.samples) / elapsed,
-            "advances_per_s": advanced / elapsed,
-            "recovery_s": final["recovery_s"],
-            "peak_rss_mb": final["peak_rss_mb"],
-            "mix": {"operation": "one batchAdvance request",
-                    "clients": 1, "requests": len(tally.samples),
-                    "items_per_request": common.BATCH_ITEMS,
-                    "instances_advanced_to_end": touched,
-                    "write_share": 1.0, "read_share": 0.0,
-                    "route_counts": dict(tally.routes),
-                    "actions_per_advance": 2.0 / len(BULK_PHASES),
-                    "population": len(deployment.ids)},
-        }
-        if trace:
-            result["layers"] = _layer_report(final, tally, [client])
-        return result
-    finally:
-        if deployment is not None:
-            deployment.close()
-        common.remove_work_dir(directory)
+        return {"elapsed": elapsed, "attempted": attempted, "ops": advanced,
+                "traced_ops": sum(1 for sample in tally.samples if sample[2])
+                * common.BATCH_ITEMS,
+                "advanced": advanced, "touched": attempted // len(BULK_PHASES),
+                "clients": [client]}
+
+    rounds = run_rounds("bulk_dispatch", seed, trace,
+                        common.bulk_model_document(), None, play)
+    return _result(rounds, trace, {
+        "operation": "one batchAdvance request", "clients": 1,
+        "requests": len(rounds.tally.samples),
+        "items_per_request": common.BATCH_ITEMS,
+        "instances_advanced_to_end": rounds.attempted // len(BULK_PHASES),
+        "write_share": 1.0, "read_share": 0.0,
+        "actions_per_advance": 2.0 / len(BULK_PHASES),
+        "population": common.HTTP_POPULATION})
