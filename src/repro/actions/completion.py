@@ -20,7 +20,11 @@ executors below.  Where that task runs decides the concurrency model:
   for the brief moment it takes to apply the outcome.
 
 Executors never interpret the task; sequencing, locking and event
-publication live in the dispatcher and the managers.
+publication live in the dispatcher and the managers.  A task must run in
+the submitter's :mod:`contextvars` context — inline trivially, pooled
+because :class:`~repro.workers.WorkerPool` copies it at submit — so the
+terminal ``action.*`` events keep the request's ``origin_request_id``
+and the dispatch spans parent under the submitting span.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..clock import Clock, SystemClock
 from ..errors import ActionInvocationError
 from ..identifiers import new_id
-from ..telemetry import SpanContext, current_span_context, span_scope
+from ..telemetry import span_scope
 from .completion import CompletionExecutor, InlineCompletionExecutor
 
 #: Default RNG seed: the dispatcher must be reproducible out of the box so
@@ -210,29 +210,15 @@ class PendingInvocation:
     already happened by the time the handle is returned).
     """
 
-    __slots__ = ("invocation", "latency", "span_context", "_done")
+    __slots__ = ("invocation", "latency", "_done")
 
-    def __init__(self, invocation: ActionInvocation, latency: float = 0.0,
-                 span_context: Optional[SpanContext] = None):
+    def __init__(self, invocation: ActionInvocation, latency: float = 0.0):
         self.invocation = invocation
         #: The latency sampled at submit time (seconds).  Sampling happens
         #: under the submitter's lock so the latency *sequence* stays
         #: reproducible; the sleep itself runs in the completion executor.
         self.latency = latency
-        #: The span context (correlation id + submit-side span) active when
-        #: the invocation was submitted.  Thread-locals do not cross the
-        #: completion pool, so the submit phase captures it here and the
-        #: completion task re-activates it — the terminal
-        #: ``action.completed``/``action.failed`` events carry the same
-        #: ``origin_request_id`` as the submit-side events, and the
-        #: wait/execute spans parent under the submit-side shard drain.
-        self.span_context = span_context
         self._done = threading.Event()
-
-    @property
-    def trace_id(self) -> Optional[str]:
-        """The correlation id captured at submit time (may be ``None``)."""
-        return self.span_context.trace_id if self.span_context else None
 
     @property
     def done(self) -> bool:
@@ -305,13 +291,11 @@ class InvocationDispatcher:
         """
         invocation.status = ActionStatus.RUNNING
         invocation.submitted_at = self._clock.now()
-        pending = PendingInvocation(invocation, latency=self._sample_latency(),
-                                    span_context=current_span_context())
+        pending = PendingInvocation(invocation, latency=self._sample_latency())
         deliver = on_complete if on_complete is not None else self._complete_pending
 
         def task() -> None:
-            with span_scope("action.dispatch", context=pending.span_context,
-                            action=invocation.action_name,
+            with span_scope("action.dispatch", action=invocation.action_name,
                             invocation_id=invocation.invocation_id):
                 with span_scope("dispatch.wait",
                                 latency_seconds=pending.latency):

@@ -35,8 +35,8 @@ from typing import Any, Dict, Optional
 from ..errors import JournalTruncatedError, ReplicationError, StorageError
 from ..identifiers import new_id
 from ..persistence.recovery import JournalReplayer, restore_snapshot
-from ..telemetry import (DEFAULT_SIZE_BUCKETS, SpanContext, TraceContext,
-                         get_registry, span_scope)
+from ..telemetry import (DEFAULT_SIZE_BUCKETS, ensure_trace, get_registry,
+                         span_scope, trace_scope)
 from .stream import ReplicationSource
 
 
@@ -174,10 +174,9 @@ class ReadReplica:
                 # queryable there after promotion).
                 origin = record.payload.get("origin_request_id")
                 if origin is not None:
-                    with span_scope("replication.apply",
-                                    context=SpanContext(origin),
-                                    seq=record.seq, kind=record.kind,
-                                    replica_id=self.replica_id):
+                    with trace_scope(origin), span_scope(
+                            "replication.apply", seq=record.seq,
+                            kind=record.kind, replica_id=self.replica_id):
                         self._replayer.apply(record)
                 else:
                     self._replayer.apply(record)
@@ -221,7 +220,7 @@ class ReadReplica:
         if self._promoted:
             raise ReplicationError(
                 "replica {} is already promoted".format(self.replica_id))
-        with TraceContext.ensure("promote"), \
+        with ensure_trace("promote"), \
                 span_scope("replication.promote", replica_id=self.replica_id):
             return self._promote(final_sync)
 

@@ -54,7 +54,7 @@ from ..identifiers import new_id, parse_callback_uri
 from ..model.lifecycle import LifecycleModel
 from ..plugins.setup import StandardEnvironment
 from ..resources.descriptor import ResourceDescriptor
-from ..telemetry import current_span_context, span_scope
+from ..telemetry import span_scope
 from ..telemetry.profiling import TimedLock
 from ..workers import WorkerPool
 from .instance import InstanceStatus, LifecycleInstance
@@ -569,14 +569,10 @@ class ShardedLifecycleManager:
         results: List[Any] = [None] * size
         errors: List[BaseException] = []
         errors_lock = threading.Lock()
-        # Fan-out workers run on pool threads; re-activate the caller's
-        # span context there so every shard-side event keeps the gateway's
-        # origin_request_id and each drain shows up as a child span.
-        context = current_span_context()
 
         def drain(index: int, work: List[Tuple[int, Any]]) -> None:
             shard = self._shards[index]
-            with span_scope("shard.drain", context=context, shard=index,
+            with span_scope("shard.drain", shard=index,
                             items=len(work)), self._locks[index]:
                 for position, item in work:
                     try:

@@ -55,7 +55,7 @@ from ..clock import Clock
 from ..errors import GeleeError, SchedulerError
 from ..events import Event, EventBus
 from ..model.deadline import ESCALATION_POLICIES
-from ..telemetry import (DEFAULT_FAST_BUCKETS, TraceContext, get_registry,
+from ..telemetry import (DEFAULT_FAST_BUCKETS, ensure_trace, get_registry,
                          span_scope)
 from .timers import Timer, TimerFiring, TimerService
 
@@ -215,7 +215,7 @@ class LifecycleScheduler:
         started = time.perf_counter()
         # Background entry point: give scheduler-driven events an origin id
         # of their own (``tick-…``) unless the tick runs inside a request.
-        with TraceContext.ensure("tick"):
+        with ensure_trace("tick"):
             with span_scope("scheduler.tick") as span:
                 if hasattr(self._bus, "flush"):
                     self._bus.flush()

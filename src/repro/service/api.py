@@ -512,9 +512,7 @@ class GeleeService:
         operations_pool = self.operations.pool_stats()
         if operations_pool is not None:
             stats["operations_pool"] = operations_pool
-        stats["replication_role"] = (
-            self.replication.role if self.replication is not None
-            else ("replica" if self.read_only else "primary"))
+        stats["replication_role"] = self._role()
         stats["coordination_enabled"] = self.coordination is not None
         if self.coordination is not None:
             status = self.coordination.status()
@@ -583,9 +581,7 @@ class GeleeService:
         snapshot["node"] = {
             "node_id": self._node_id(),
             "read_only": self.read_only,
-            "replication_role": (
-                self.replication.role if self.replication is not None
-                else ("replica" if self.read_only else "primary")),
+            "replication_role": self._role(),
         }
         return snapshot
 
@@ -596,6 +592,12 @@ class GeleeService:
             if node_id is not None:
                 return node_id
         return getattr(self.replication, "replica_id", None)
+
+    def _role(self) -> str:
+        """This node's replication role, or primary/replica by writability."""
+        if self.replication is not None:
+            return self.replication.role
+        return "replica" if self.read_only else "primary"
 
     # ------------------------------------------------------------ span traces
     def traces_status(self, limit: Optional[int] = None) -> Dict[str, Any]:
@@ -676,8 +678,7 @@ class GeleeService:
                   if alert["state"] == "firing"]
         summary: Dict[str, Any] = {
             "node_id": self._node_id(),
-            "role": (self.replication.role if self.replication is not None
-                     else ("replica" if self.read_only else "primary")),
+            "role": self._role(),
             "read_only": self.read_only,
             "primary_hint": self.primary_hint,
             "instances": self.manager.instance_count(),

@@ -100,10 +100,10 @@ class ApiStats:
 class RequestIdMiddleware:
     """Assign a correlation id, activate it as the trace, echo it back.
 
-    The id becomes the current :mod:`~repro.telemetry.trace` scope for the
-    whole downstream pipeline, so every kernel event the request causes is
-    stamped ``origin_request_id`` and the journal/replication stream carry
-    the same id the client saw in ``X-Request-Id``.
+    The id becomes the active trace (:class:`~repro.telemetry.trace_scope`)
+    for the whole downstream pipeline, so every kernel event the request
+    causes is stamped ``origin_request_id`` and the journal/replication
+    stream carry the same id the client saw in ``X-Request-Id``.
 
     It is also the trace's root *span* site: the whole downstream pipeline
     runs inside a ``gateway.request`` span, so the span tree served by

@@ -29,7 +29,7 @@ from typing import Any, Callable, Dict, List, Optional
 from ...clock import Clock, SystemClock
 from ...errors import OperationNotFoundError
 from ...identifiers import new_id
-from ...telemetry import SpanContext, current_span_context, span_scope
+from ...telemetry import span_scope
 from ...workers import WorkerPool
 from .envelope import ErrorInfo, error_info_for
 
@@ -107,11 +107,7 @@ class OperationStore:
             self._operations[operation.operation_id] = operation
             self._order.append(operation.operation_id)
             self._evict_locked()
-        # The 202 surface is a thread hop like any other: capture the
-        # requester's span context so the deferred work keeps the gateway's
-        # origin_request_id and shows up in its span tree.
-        self._ensure_pool().submit(self._run, operation, work,
-                                   current_span_context())
+        self._ensure_pool().submit(self._run, operation, work)
         return operation
 
     def _ensure_pool(self) -> WorkerPool:
@@ -135,11 +131,10 @@ class OperationStore:
         if pool is not None and owned and not pool.closed:
             pool.close(wait=wait, timeout=timeout)
 
-    def _run(self, operation: Operation, work: Callable[[], Any],
-             context: Optional[SpanContext] = None) -> None:
+    def _run(self, operation: Operation, work: Callable[[], Any]) -> None:
         operation.started_at = self._clock.now()
         operation.status = OperationStatus.RUNNING
-        with span_scope("operation.run", context=context, kind=operation.kind,
+        with span_scope("operation.run", kind=operation.kind,
                         operation_id=operation.operation_id) as span:
             try:
                 operation.result = work()

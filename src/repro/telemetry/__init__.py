@@ -6,14 +6,15 @@ measures the machine that serves it.  Five small, dependency-free parts:
 * :mod:`repro.telemetry.registry` — a thread-safe
   :class:`MetricsRegistry` of counters, gauges and fixed-bucket
   histograms with a Prometheus text exposition and a JSON snapshot.
-* :mod:`repro.telemetry.trace` — a :class:`TraceContext` that carries the
-  gateway's request id through shard fan-out, pooled completions, journal
-  appends and the replication stream, so one id is followable across
-  primary, follower and promoted node.
-* :mod:`repro.telemetry.spans` — a causal span tree over those ids:
-  :func:`span_scope` opens timed child spans across every thread hop and
-  a bounded :class:`SpanStore` keeps recent traces (plus slow-trace
-  exemplars) retrievable via ``GET /v2/runtime/traces/{trace_id}``.
+* :mod:`repro.telemetry.spans` — the request context and a causal span
+  tree over it.  One context variable holds the active trace id (the
+  gateway's request id) and span id; the worker pool runs each task in a
+  copy of the submitter's context, so the id follows shard fan-out,
+  pooled completions, journal appends and the replication stream across
+  primary, follower and promoted node.  :func:`span_scope` opens timed
+  child spans and a bounded :class:`SpanStore` keeps recent traces (plus
+  slow-trace exemplars) retrievable via
+  ``GET /v2/runtime/traces/{trace_id}``.
 * :mod:`repro.telemetry.slo` — declarative :class:`SloRule`\\ s evaluated
   against registry snapshots; threshold edges publish ``alert.fired`` /
   ``alert.resolved`` bus events and feed the cockpit's alerts roll-up.
@@ -25,6 +26,9 @@ measures the machine that serves it.  Five small, dependency-free parts:
 * :mod:`repro.telemetry.history` — fixed-size time-series rings (raw +
   downsampled tiers) over registry snapshots, captured by a recurring
   maintenance job and served at ``GET /v2/runtime/telemetry/history``.
+  Its module functions are the one windowed-delta engine (counter and
+  histogram deltas with reset handling, the bucket-bound quantile) that
+  the SLO rules share.
 * :mod:`repro.telemetry.profiling` — contention visibility: a
   :class:`TimedLock` wrapper sampling lock waits, queue-depth capture
   for worker pools, and an optional low-rate stack sampler with a
@@ -57,16 +61,17 @@ from .registry import (
 from .slo import AlertState, SloEngine, SloRule, default_slo_rules
 from .spans import (
     Span,
-    SpanContext,
     SpanStore,
-    current_span_context,
     current_span_id,
+    current_trace_id,
+    ensure_trace,
     get_span_store,
     new_span_id,
+    new_trace_id,
     set_span_store,
     span_scope,
+    trace_scope,
 )
-from .trace import TraceContext, current_trace_id, new_trace_id, trace_scope
 
 __all__ = [
     "AlertState",
@@ -84,14 +89,12 @@ __all__ = [
     "SloEngine",
     "SloRule",
     "Span",
-    "SpanContext",
     "SpanStore",
     "TimedLock",
-    "TraceContext",
-    "current_span_context",
     "current_span_id",
     "current_trace_id",
     "default_slo_rules",
+    "ensure_trace",
     "get_log_ring",
     "get_logger",
     "get_registry",

@@ -14,9 +14,15 @@ series to a preallocated ring:
 * **histograms** fan out into derived series — ``:rate`` (observation
   count this interval), ``:mean`` (interval mean) and one ``:p<q>``
   series per configured quantile, estimated from per-interval bucket
-  deltas the same way the SLO engine does (the reported value is the
-  upper bound of the bucket containing the quantile, ``inf`` when it
-  landed past the last bound).
+  deltas (the reported value is the upper bound of the bucket containing
+  the quantile, ``inf`` when it landed past the last bound).
+
+This module is the package's one windowed-delta engine: the module
+functions :func:`counter_delta`, :func:`histogram_reading`,
+:func:`histogram_delta` and :func:`bucket_quantile` do the reset
+handling, bucket deltas and quantile estimate for both the rings and the
+SLO engine's windowed rule kinds (:mod:`repro.telemetry.slo`), which
+keep their own per-rule cursor over the same arithmetic.
 
 Every series keeps two tiers: the **raw** ring (one point per capture)
 and a **downsampled** ring — every ``downsample_every`` raw points are
@@ -34,7 +40,13 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from ..clock import Clock, SystemClock
 from .registry import MetricsRegistry
 
-__all__ = ["MetricHistory"]
+__all__ = ["MetricHistory", "bucket_quantile", "counter_delta",
+           "histogram_delta", "histogram_reading"]
+
+#: One cumulative histogram reading: ``(count, sum, {bound text: count})``;
+#: bucket counts are per bucket, and observations past the last bound
+#: count toward ``count`` only (the implicit +Inf bucket).
+HistogramReading = Tuple[float, float, Dict[str, float]]
 
 
 def _series_key(name: str, labels: Dict[str, Any]) -> str:
@@ -51,6 +63,65 @@ def _parse_bound(text: str) -> float:
     if text == "-Inf":
         return float("-inf")
     return float(text)
+
+
+def counter_delta(previous: Optional[float], current: float) -> float:
+    """A cumulative counter's increase since ``previous``.
+
+    On first sighting (``previous is None``) or after a decrease (the
+    process restarted, or the registry was swapped) the whole current
+    value is the delta, so a window is never negative.
+    """
+    if previous is None or current < previous:
+        return current
+    return current - previous
+
+
+def histogram_reading(series: Iterable[Dict[str, Any]]) -> HistogramReading:
+    """Merge histogram snapshot series (one per label set) into one reading."""
+    count, total, buckets = 0, 0.0, {}
+    for cell in series:
+        count += cell["count"]
+        total += cell["sum"]
+        for bound, bucket_count in cell["buckets"].items():
+            buckets[bound] = buckets.get(bound, 0) + bucket_count
+    return count, total, buckets
+
+
+def histogram_delta(previous: Optional[HistogramReading],
+                    current: HistogramReading) -> HistogramReading:
+    """The window between two readings: count, sum and bucket deltas.
+
+    A first sighting, a fall in ``count`` (a reset) or a change in the
+    bucket bounds (a different instrument) makes the whole current
+    reading the window.
+    """
+    count, total, buckets = current
+    if (previous is None or count < previous[0]
+            or buckets.keys() != previous[2].keys()):
+        return current
+    last = previous[2]
+    return (count - previous[0], total - previous[1],
+            {bound: buckets[bound] - last[bound] for bound in buckets})
+
+
+def bucket_quantile(buckets: Dict[str, float], count: float,
+                    quantile: float) -> float:
+    """Upper bound of the bucket holding ``quantile`` of ``count`` samples.
+
+    The standard Prometheus ``histogram_quantile`` upper-bound estimate:
+    ``inf`` when the quantile lands past the last bound, ``0.0`` for an
+    empty window.
+    """
+    if count <= 0:
+        return 0.0
+    rank = quantile * count
+    cumulative = 0
+    for bound_text in sorted(buckets, key=_parse_bound):
+        cumulative += buckets[bound_text]
+        if cumulative >= rank:
+            return _parse_bound(bound_text)
+    return float("inf")  # landed in the implicit +Inf bucket
 
 
 class _Ring:
@@ -138,9 +209,9 @@ class MetricHistory:
         self._lock = threading.Lock()
         self._series: Dict[str, _Series] = {}
         # Previous cumulative state, keyed by series: counters map to a
-        # float, histograms to (count, sum, {bound: count}).
+        # float, histograms to a reading.
         self._last_counter: Dict[str, float] = {}
-        self._last_histogram: Dict[str, Tuple[int, float, Dict[str, int]]] = {}
+        self._last_histogram: Dict[str, HistogramReading] = {}
         self._captures = 0
         self._last_capture_at: Optional[float] = None
         self._dropped_series = 0
@@ -172,52 +243,24 @@ class MetricHistory:
         return recorded
 
     def _capture_counter(self, key: str, ts: float, value: float) -> int:
-        previous = self._last_counter.get(key)
+        delta = counter_delta(self._last_counter.get(key), value)
         self._last_counter[key] = value
-        if previous is None or value < previous:
-            # First sight or a reset: the cumulative value is the delta.
-            delta = value
-        else:
-            delta = value - previous
         return self._record(key, "counter", ts, delta)
 
     def _capture_histogram(self, key: str, ts: float,
                            series: Dict[str, Any]) -> int:
-        count = series["count"]
-        total = series["sum"]
-        buckets = dict(series["buckets"])
-        previous = self._last_histogram.get(key)
-        self._last_histogram[key] = (count, total, buckets)
-        if previous is None or count < previous[0]:
-            count_delta, sum_delta = count, total
-            bucket_deltas = buckets
-        else:
-            count_delta = count - previous[0]
-            sum_delta = total - previous[1]
-            bucket_deltas = {bound: buckets.get(bound, 0) - previous[2].get(bound, 0)
-                             for bound in buckets}
+        reading = histogram_reading((series,))
+        count_delta, sum_delta, bucket_deltas = histogram_delta(
+            self._last_histogram.get(key), reading)
+        self._last_histogram[key] = reading
         recorded = self._record(key + ":rate", "histogram", ts, count_delta)
         mean = (sum_delta / count_delta) if count_delta > 0 else 0.0
         recorded += self._record(key + ":mean", "histogram", ts, mean)
         for quantile in self._quantiles:
-            value = self._quantile_bound(bucket_deltas, count_delta, quantile)
+            value = bucket_quantile(bucket_deltas, count_delta, quantile)
             recorded += self._record(
                 "{}:p{:g}".format(key, quantile * 100), "histogram", ts, value)
         return recorded
-
-    @staticmethod
-    def _quantile_bound(bucket_deltas: Dict[str, int], count_delta: int,
-                        quantile: float) -> float:
-        """The bucket upper bound holding the quantile of this interval."""
-        if count_delta <= 0:
-            return 0.0
-        rank = quantile * count_delta
-        cumulative = 0
-        for bound_text in sorted(bucket_deltas, key=_parse_bound):
-            cumulative += bucket_deltas[bound_text]
-            if cumulative >= rank:
-                return _parse_bound(bound_text)
-        return float("inf")  # landed in the implicit +Inf bucket
 
     def _record(self, key: str, kind: str, ts: float, value: float) -> int:
         series = self._series.get(key)

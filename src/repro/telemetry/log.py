@@ -6,10 +6,11 @@ a single JSON object on its own line with a stable field order::
     {"ts": "...", "level": "info", "component": "replication",
      "event": "batch.applied", "trace_id": "req-1f2e...", ...fields}
 
-``trace_id`` is read from :mod:`repro.telemetry.trace` at emit time, so a
-record written anywhere inside a request's scope — including on a worker
-thread that re-activated a captured id — correlates with the gateway's
-``X-Request-Id`` without the call site doing anything.
+``trace_id`` is read from the request context (:mod:`repro.telemetry.spans`)
+at emit time, so a record written anywhere inside a request's scope —
+including in a worker-pool task, which runs in a copy of the submitter's
+context — correlates with the gateway's ``X-Request-Id`` without the
+call site doing anything.
 
 The sink is injectable (any ``write()``-able or a callable taking the
 record dict); the default writes to ``sys.stderr`` so service output and
@@ -26,7 +27,7 @@ from typing import Any, Callable, Dict, Optional, TextIO, Union
 
 from ..clock import Clock, SystemClock
 from .logring import get_log_ring
-from .trace import current_trace_id
+from .spans import current_trace_id
 
 Sink = Union[TextIO, Callable[[Dict[str, Any]], None]]
 

@@ -34,6 +34,13 @@ Windowed kinds *hold* their state (no transition) when the window has
 fewer than ``min_samples`` samples, so an idle service neither fires nor
 flaps.  Gauge kinds clear when the backing instrument disappears (a
 promoted replica stops having lag).
+
+The window arithmetic — counter resets, histogram bucket deltas, the
+bucket-bound quantile — is :mod:`repro.telemetry.history`'s; each
+windowed rule keeps only its own cursor (the previous reading).  Rules
+cannot read the history rings instead: those hold per-series derived
+quantiles, which do not merge across label sets the way a whole-API
+latency rule needs.
 """
 
 from __future__ import annotations
@@ -42,6 +49,8 @@ import threading
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..clock import Clock, SystemClock
+from .history import (HistogramReading, bucket_quantile, counter_delta,
+                      histogram_delta, histogram_reading)
 from .registry import MetricsRegistry, get_registry
 
 __all__ = ["AlertState", "SloEngine", "SloRule", "default_slo_rules"]
@@ -181,7 +190,8 @@ class SloEngine:
         self._refresh = refresh
         self._lock = threading.RLock()
         self._states: Dict[str, AlertState] = {}
-        self._windows: Dict[str, Tuple[float, ...]] = {}
+        # Per-rule cursor: the previous reading of the rule's metric.
+        self._windows: Dict[str, Any] = {}
         self._evaluations = 0
         self._last_evaluated_at: Optional[str] = None
         for rule in (rules if rules is not None else default_slo_rules()):
@@ -275,6 +285,13 @@ class SloEngine:
         value = max(series["value"] for series in metric["series"])
         return (value, value > rule.threshold)
 
+    def _window(self, rule: SloRule,
+                reading: HistogramReading) -> HistogramReading:
+        """Advance the rule's cursor to ``reading``; return the window."""
+        window = histogram_delta(self._windows.get(rule.name), reading)
+        self._windows[rule.name] = reading
+        return window
+
     def _eval_error_rate(self, rule: SloRule,
                          metric: Optional[Dict[str, Any]]) -> Optional[Tuple[Optional[float], bool]]:
         if metric is None:
@@ -284,59 +301,39 @@ class SloEngine:
             series["value"] for series in metric["series"]
             if str(series["labels"].get("status", "")).startswith(
                 rule.error_status_prefixes))
-        previous = self._windows.get(rule.name, (0.0, 0.0))
-        self._windows[rule.name] = (errors, total)
-        delta_errors = errors - previous[0]
-        delta_total = total - previous[1]
-        if delta_total < 0:  # counter reset (registry swap): restart window
-            delta_errors, delta_total = errors, total
+        # Errors are a sub-count of all requests, as a bucket is of a
+        # histogram's count: one reading, so a reset in the total
+        # (registry swap) restarts both.
+        delta_total, _, delta_buckets = self._window(
+            rule, (total, 0.0, {"errors": errors}))
         if delta_total < rule.min_samples:
             return None
-        rate = delta_errors / delta_total
+        rate = delta_buckets["errors"] / delta_total
         return (round(rate, 4), rate > rule.threshold)
 
     def _eval_latency_quantile(self, rule: SloRule,
                                metric: Optional[Dict[str, Any]]) -> Optional[Tuple[Optional[float], bool]]:
         if metric is None:
             return (None, False)
-        # Merge every series of the histogram into one windowed bucket view.
-        count = 0
-        buckets: Dict[float, float] = {}
-        for series in metric["series"]:
-            count += series["count"]
-            for bound, bucket_count in series["buckets"].items():
-                numeric = float(bound)
-                buckets[numeric] = buckets.get(numeric, 0.0) + bucket_count
-        previous = self._windows.get(rule.name)
-        flattened = tuple([count] + [buckets[bound] for bound in sorted(buckets)])
-        self._windows[rule.name] = flattened
-        if previous is None or len(previous) != len(flattened) or previous[0] > count:
-            previous = (0.0,) * len(flattened)
-        delta_count = count - previous[0]
+        # Every label set merged into one windowed bucket view.
+        delta_count, _, delta_buckets = self._window(
+            rule, histogram_reading(metric["series"]))
         if delta_count < rule.min_samples:
             return None
-        target = rule.quantile * delta_count
-        cumulative = 0.0
-        for index, bound in enumerate(sorted(buckets)):
-            cumulative += flattened[index + 1] - previous[index + 1]
-            if cumulative >= target:
-                return (bound, bound > rule.threshold)
-        # Quantile falls in the implicit +Inf bucket: past every bound.
-        return (float("inf"), True)
+        bound = bucket_quantile(delta_buckets, delta_count, rule.quantile)
+        return (bound, bound > rule.threshold)
 
     def _eval_heartbeat_miss(self, rule: SloRule,
                              metric: Optional[Dict[str, Any]]) -> Optional[Tuple[Optional[float], bool]]:
         if metric is None or not metric["series"]:
             return (None, False)
-        count = sum(series["count"] for series in metric["series"])
+        count = histogram_reading(metric["series"])[0]
         previous = self._windows.get(rule.name)
-        self._windows[rule.name] = (count,)
+        self._windows[rule.name] = count
         if previous is None:
             return None  # first sighting: establish the baseline, hold
-        delta = count - previous[0]
-        if delta < 0:
-            return None
-        return (float(delta), delta == 0 and previous[0] > 0)
+        delta = counter_delta(previous, count)
+        return (float(delta), delta == 0 and previous > 0)
 
     # --------------------------------------------------------------- surface
     def firing(self) -> List[Dict[str, Any]]:

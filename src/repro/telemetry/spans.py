@@ -1,31 +1,30 @@
-"""Span-tree tracing layered on the flat correlation ids of ``trace.py``.
+"""Request context and span-tree tracing.
 
-PR 8 gave every request an ambient ``X-Request-Id`` that survives shard
-fan-out, the worker pool, the journal and the replication stream.  That
-answers *which* records a request touched, but not *where the request
-spent its time*.  This module upgrades the flat id into a causal span
-tree:
+One :class:`contextvars.ContextVar` holds the active ``(trace_id,
+span_id)`` pair.  The trace id is the flat correlation id: the gateway's
+``RequestIdMiddleware`` activates the request id with
+:class:`trace_scope`, ``LifecycleManager._publish`` stamps
+:func:`current_trace_id` onto every kernel event as
+``origin_request_id``, the journal persists the payload verbatim and the
+replication stream ships it as-is, so one ``X-Request-Id`` is greppable
+on the primary, in its journal and in every follower's applied copy,
+surviving promotion.  The span id upgrades that id into a causal tree:
 
 - :class:`Span` — one timed operation (``trace_id``/``span_id``/
   ``parent_id``/``name``/``start``/``end``/``attrs``/``status``).
-- :class:`span_scope` — context manager that opens a child span of
-  whatever span is active on this thread, records it into the ambient
-  :class:`SpanStore` on exit, and stamps ``status="error"`` when the
-  block raises.  It composes with the flat layer: given a captured
-  :class:`SpanContext` it *also* re-activates the trace id via
-  :class:`~repro.telemetry.trace.trace_scope`, so thread-hop sites need
-  one context manager, not two.
+- :class:`span_scope` — context manager that opens a child of the active
+  span, records it into the ambient :class:`SpanStore` on exit, and
+  stamps ``status="error"`` when the block raises.
 - :class:`SpanStore` — bounded, thread-safe ring buffer of traces with
   *slow-trace retention*: traces evicted from the ring are kept as
   exemplars when their wall time exceeded a threshold, so "the slowest
   request this hour" is still retrievable after the ring has churned.
 
-Thread-locals do not cross the :class:`~repro.workers.WorkerPool`
-boundary, so submission sites capture :func:`current_span_context` *now*
-and hand it to the ``span_scope`` opened on the worker — exactly the
-discipline the flat trace ids already follow, extended with a parent
-span id so the hop shows up as an edge in the tree rather than a new
-root.
+:class:`~repro.workers.WorkerPool` runs every task in a copy of the
+submitter's context, so shard fan-out, pooled completions and 202
+operations keep the request's trace and parent their spans on the
+submitting span with no capture at the call site.  A bare
+``threading.Thread`` starts with an empty context.
 
 Everything here is allocation-light and no-ops cheaply: with the store
 disabled (``SpanStore(enabled=False)``) or no trace id active,
@@ -38,25 +37,28 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+import uuid
 from collections import OrderedDict
+from contextvars import ContextVar
 from typing import Any, Dict, List, Optional, Tuple
-
-from .trace import _state as _trace_state  # shared thread-local, read inline
-from .trace import current_trace_id, trace_scope
 
 __all__ = [
     "Span",
-    "SpanContext",
     "SpanStore",
-    "current_span_context",
     "current_span_id",
+    "current_trace_id",
+    "ensure_trace",
     "get_span_store",
     "new_span_id",
+    "new_trace_id",
     "set_span_store",
     "span_scope",
+    "trace_scope",
 ]
 
-_state = threading.local()
+#: The active ``(trace_id, span_id)`` pair; either may be ``None``.
+_context: "ContextVar[Tuple[Optional[str], Optional[int]]]" = ContextVar(
+    "gelee_trace_context", default=(None, None))
 
 
 #: Process-wide span-id sequence.  ``next()`` on a ``count`` is atomic
@@ -83,38 +85,59 @@ def _to_wall(perf_seconds: Optional[float]) -> Optional[float]:
     return _ANCHOR_WALL + (perf_seconds - _ANCHOR_PERF)
 
 
+def new_trace_id(prefix: str = "trc") -> str:
+    """A fresh correlation id (``prefix-<12 hex chars>``)."""
+    return "{}-{}".format(prefix, uuid.uuid4().hex[:12])
+
+
 def new_span_id() -> int:
     """A fresh span id (an integer — unique in-process, not globally)."""
     return next(_span_ids)
 
 
+def current_trace_id() -> Optional[str]:
+    """The active trace id, or ``None`` outside any scope."""
+    return _context.get()[0]
+
+
 def current_span_id() -> Optional[int]:
-    """The span id active on this thread, or ``None`` outside any span."""
-    return getattr(_state, "span_id", None)
+    """The active span id, or ``None`` outside any span."""
+    return _context.get()[1]
 
 
-class SpanContext:
-    """Immutable (trace_id, span_id) snapshot for crossing thread boundaries.
+class trace_scope:
+    """Activate ``trace_id`` for a block; restores the previous context on exit.
 
-    ``span_id`` may be ``None`` (a trace is active but no span is — e.g.
-    the span store is disabled); ``trace_id`` may be ``None`` too, in
-    which case re-activating the context is a complete no-op.
+    Entering a different trace starts it with no active span, since a
+    span parents only on spans of its own trace.  ``trace_scope(None)``
+    and re-entering the active trace are no-ops, so callers propagating
+    an id never need to branch on whether one existed.
     """
 
-    __slots__ = ("trace_id", "span_id")
+    __slots__ = ("_trace_id", "_token")
 
-    def __init__(self, trace_id: Optional[str], span_id: Optional[int] = None):
-        self.trace_id = trace_id
-        self.span_id = span_id
+    def __init__(self, trace_id: Optional[str]):
+        self._trace_id = trace_id
+        self._token = None
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "SpanContext(trace_id={!r}, span_id={!r})".format(
-            self.trace_id, self.span_id)
+    def __enter__(self) -> Optional[str]:
+        trace_id = self._trace_id
+        if trace_id is not None and trace_id != _context.get()[0]:
+            self._token = _context.set((trace_id, None))
+        return trace_id
+
+    def __exit__(self, *exc_info: Any) -> None:
+        if self._token is not None:
+            _context.reset(self._token)
 
 
-def current_span_context() -> SpanContext:
-    """Capture the ambient trace + span ids for hand-off to another thread."""
-    return SpanContext(current_trace_id(), current_span_id())
+def ensure_trace(prefix: str = "trc") -> trace_scope:
+    """Keep the active trace if there is one, else activate a fresh ``prefix-…`` id.
+
+    Background entry points (scheduler ticks, promotion) use this so
+    their downstream events always carry *some* origin id.
+    """
+    return trace_scope(current_trace_id() or new_trace_id(prefix))
 
 
 class Span:
@@ -179,7 +202,8 @@ class SpanStore:
     case it moves to a secondary bounded exemplar map so slow outliers
     outlive ring churn.  Per-trace span counts are capped at
     ``max_spans_per_trace``; overflow spans are counted, not stored, so a
-    runaway fan-out cannot balloon memory.
+    runaway fan-out cannot balloon memory.  The one exception is the
+    trace's root, which is kept past the cap.
     """
 
     def __init__(self, max_traces: int = 256, max_spans_per_trace: int = 512,
@@ -247,7 +271,14 @@ class SpanStore:
                 while len(self._traces) > self._max_traces:
                     self._evict_oldest_locked()
             spans, dropped = entry
-            if len(spans) >= self._max_spans:
+            # A root finishes after its children, which may have filled
+            # the cap already: past the cap only a trace's first
+            # parentless span is still kept, so the trace never loses
+            # its root (replica applies are parentless too, and stay
+            # capped).
+            if len(spans) >= self._max_spans and (
+                    span.parent_id is not None
+                    or any(held.parent_id is None for held in spans)):
                 self._traces[span.trace_id] = (spans, dropped + 1)
                 self._dropped += 1
                 return
@@ -376,73 +407,52 @@ class SpanStore:
 class span_scope:
     """Open a span for a block; record it into the store on exit.
 
-    Three usage shapes:
-
-    - ``with span_scope("journal.append", seq=7):`` — child of whatever
-      span is active on this thread, under the current trace id.
-    - ``with span_scope("shard.drain", context=ctx):`` — cross-thread
-      hop: re-activates ``ctx.trace_id`` (exactly like ``trace_scope``)
-      and parents the new span on ``ctx.span_id``.  The trace id is
-      re-activated *even when span recording is off*, so flat
-      ``origin_request_id`` propagation never regresses.
-    - ``with span_scope(...) as span:`` — ``span`` is the live
-      :class:`Span` (or ``None`` when recording is off); mutate
-      ``span.attrs`` to annotate after the fact.
+    ``with span_scope("journal.append", seq=7):`` opens a child of the
+    active span under the active trace id (in a worker-pool task that is
+    the span active at submit).  ``with span_scope(...) as span:`` binds
+    the live :class:`Span` (or ``None`` when recording is off or no trace
+    is active); mutate ``span.attrs`` to annotate after the fact.
 
     If the block raises, the span finishes with ``status="error"`` and
     the exception type as ``error``; the exception propagates.
     """
 
-    __slots__ = ("_name", "_attrs", "_context", "_store", "_span",
-                 "_trace_scope", "_previous_span_id")
+    __slots__ = ("_name", "_attrs", "_store", "_span", "_token")
 
-    def __init__(self, name: str, context: Optional[SpanContext] = None,
-                 store: Optional["SpanStore"] = None, **attrs: Any):
+    def __init__(self, name: str, store: Optional["SpanStore"] = None,
+                 **attrs: Any):
         self._name = name
         self._attrs = attrs
-        self._context = context
         self._store = store
         self._span: Optional[Span] = None
-        self._trace_scope: Optional[trace_scope] = None
-        self._previous_span_id: Optional[str] = None
+        self._token = None
 
     def __enter__(self) -> Optional[Span]:
-        # Hot path: thread-locals are read through direct ``getattr`` and
-        # the store through the module global — every call saved here is
-        # paid back millions of times on the dispatch path.
-        context = self._context
-        previous = getattr(_state, "span_id", None)
-        if context is not None:
-            self._trace_scope = trace_scope(context.trace_id)
-            self._trace_scope.__enter__()
-            parent_id = context.span_id
-        else:
-            parent_id = previous
+        # Hot path: one context read, and the store through the module
+        # global — every call saved here is paid back on the dispatch path.
+        trace_id, parent_id = _context.get()
         store = self._store
         if store is None:
             store = self._store = _default_store
-        trace_id = getattr(_trace_state, "trace_id", None)
         if not store.enabled or trace_id is None:
             return None
-        self._previous_span_id = previous
         span = self._span = Span(trace_id, next(_span_ids), parent_id,
                                  self._name, self._attrs or None)
-        _state.span_id = span.span_id
+        self._token = _context.set((trace_id, span.span_id))
         return span
 
     def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
         span = self._span
-        if span is not None:
-            _state.span_id = self._previous_span_id
-            span.end = time.perf_counter()
-            if exc_type is not None:
-                span.status = "error"
-                span.error = exc_type.__name__
-            else:
-                span.status = "ok"
-            self._store.add(span)
-        if self._trace_scope is not None:
-            self._trace_scope.__exit__(exc_type, exc, tb)
+        if span is None:
+            return
+        _context.reset(self._token)
+        span.end = time.perf_counter()
+        if exc_type is not None:
+            span.status = "error"
+            span.error = exc_type.__name__
+        else:
+            span.status = "ok"
+        self._store.add(span)
 
 
 #: Process-wide default store; swap with :func:`set_span_store` to isolate

@@ -10,7 +10,11 @@ a bulk benchmark run creates tens of thousands of them.
 :class:`WorkerPool` replaces those spawns with a fixed set of long-lived
 daemon workers draining a shared queue.  Tasks are submitted as plain
 callables and tracked through a :class:`TaskHandle`; a task that raises
-never kills its worker — the exception is stored on the handle.
+never kills its worker — the exception is stored on the handle.  Each
+task runs in a copy of the submitter's :mod:`contextvars` context, taken
+at submit, so the request's trace and span ids
+(:mod:`repro.telemetry.spans`) cross the hop without the call site
+capturing anything.
 
 The pool is deliberately tiny and dependency-free (no
 ``concurrent.futures``) so it can sit below every other module: the sharded
@@ -21,6 +25,7 @@ progress (see :mod:`repro.runtime.sharding`).
 
 from __future__ import annotations
 
+import contextvars
 import queue
 import threading
 from typing import Any, Callable, Dict, List, Optional
@@ -87,7 +92,10 @@ class WorkerPool:
 
     # ------------------------------------------------------------------- submit
     def submit(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> TaskHandle:
-        """Queue ``fn(*args, **kwargs)``; returns immediately with a handle."""
+        """Queue ``fn(*args, **kwargs)``; returns immediately with a handle.
+
+        The task runs in a copy of the caller's context as it is now.
+        """
         if self._closed:
             raise RuntimeError("worker pool {!r} is closed".format(self._name))
         handle = TaskHandle()
@@ -95,7 +103,7 @@ class WorkerPool:
             self._submitted += 1
             depth = self._submitted - self._completed - self._active
         self._depth_observe(max(0, depth - 1))  # depth ahead of this task
-        self._queue.put((handle, fn, args, kwargs))
+        self._queue.put((handle, contextvars.copy_context(), fn, args, kwargs))
         return handle
 
     # -------------------------------------------------------------------- admin
@@ -136,11 +144,11 @@ class WorkerPool:
             item = self._queue.get()
             if item is None:
                 return
-            handle, fn, args, kwargs = item
+            handle, context, fn, args, kwargs = item
             with self._lock:
                 self._active += 1
             try:
-                handle.result = fn(*args, **kwargs)
+                handle.result = context.run(fn, *args, **kwargs)
             except BaseException as exc:  # noqa: BLE001 - kept on the handle
                 handle.exception = exc
             finally:

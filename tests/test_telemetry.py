@@ -14,10 +14,12 @@ firing/clearing edges published as journaled bus events, and the
 ``/v2/runtime/traces`` / ``/v2/runtime/alerts`` wire surface.
 """
 
+import contextvars
 import io
 import json
 import os
 import shutil
+import sys
 import tempfile
 import threading
 
@@ -40,17 +42,17 @@ from repro.telemetry import (
     SamplingProfiler,
     SloEngine,
     SloRule,
-    SpanContext,
+    Span,
     SpanStore,
     TimedLock,
-    TraceContext,
-    current_span_context,
     current_span_id,
     current_trace_id,
     default_slo_rules,
+    ensure_trace,
     get_log_ring,
     get_registry,
     get_span_store,
+    new_span_id,
     new_trace_id,
     reset_loggers,
     set_log_ring,
@@ -59,6 +61,8 @@ from repro.telemetry import (
     span_scope,
     trace_scope,
 )
+from repro.telemetry.history import (bucket_quantile, counter_delta,
+                                     histogram_delta, histogram_reading)
 from repro.telemetry.log import get_logger
 from repro.telemetry.registry import DEFAULT_FAST_BUCKETS
 from repro.workers import WorkerPool
@@ -232,9 +236,9 @@ class TestTracing:
 
     def test_ensure_reuses_active_id(self):
         with trace_scope("outer"):
-            with TraceContext.ensure("tick"):
+            with ensure_trace("tick"):
                 assert current_trace_id() == "outer"
-        with TraceContext.ensure("tick"):
+        with ensure_trace("tick"):
             assert current_trace_id().startswith("tick-")
 
     def test_ids_are_unique(self):
@@ -508,10 +512,17 @@ class TestSpanScope:
         """The flat correlation layer must not regress when span
         recording is off — origin_request_id propagation rides on it."""
         set_span_store(SpanStore(enabled=False))
-        context = SpanContext("req-flat", None)
-        with span_scope("hop", context=context) as span:
-            assert span is None
-            assert current_trace_id() == "req-flat"
+        with trace_scope("req-flat"):
+            context = contextvars.copy_context()
+        seen = {}
+
+        def hop():
+            with span_scope("hop") as span:
+                seen["span"] = span
+                seen["trace_id"] = current_trace_id()
+
+        context.run(hop)
+        assert seen == {"span": None, "trace_id": "req-flat"}
         assert current_trace_id() is None
 
     def test_raising_block_marks_error_and_restores_state(self, fresh_span_store):
@@ -541,21 +552,20 @@ class TestSpanScope:
         assert current_trace_id() is None
 
     def test_context_handoff_parents_across_threads(self, fresh_span_store):
-        """The worker-pool discipline: capture on submit, re-activate on
-        the worker — the hop becomes a tree edge, not a new root."""
+        """A thread run in a copy of the submitter's context parents its
+        spans on the submitting span — the hop becomes a tree edge, not a
+        new root."""
         captured = {}
 
-        def worker(context):
-            with span_scope("worker.task", context=context) as span:
+        def worker():
+            with span_scope("worker.task") as span:
                 captured["trace_id"] = current_trace_id()
                 captured["span"] = span
 
         with trace_scope("req-hop"):
             with span_scope("submit") as submit_span:
-                context = current_span_context()
-                assert context.trace_id == "req-hop"
-                assert context.span_id == submit_span.span_id
-                thread = threading.Thread(target=worker, args=(context,))
+                context = contextvars.copy_context()
+                thread = threading.Thread(target=context.run, args=(worker,))
                 thread.start()
                 thread.join()
         assert captured["trace_id"] == "req-hop"
@@ -563,6 +573,64 @@ class TestSpanScope:
         (root,) = fresh_span_store.trace("req-hop")["tree"]
         assert root["name"] == "submit"
         assert root["children"][0]["name"] == "worker.task"
+
+    def test_worker_pool_task_parents_on_the_submitting_span(
+            self, fresh_span_store):
+        """The pool carries the context: a span opened inside a task
+        parents on the submitter's span, with nothing captured at the
+        call site, and the submitter's context is back on exit."""
+        pool = WorkerPool(2, name="test-ctx")
+        try:
+            def task():
+                with span_scope("pool.task") as span:
+                    return span, current_trace_id()
+
+            with trace_scope("req-pool"):
+                with span_scope("submit") as submit_span:
+                    span, trace_id = pool.submit(task).get(timeout=5.0)
+                    assert current_span_id() == submit_span.span_id
+        finally:
+            pool.close()
+        assert trace_id == "req-pool"
+        assert span.parent_id == submit_span.span_id
+        (root,) = fresh_span_store.trace("req-pool")["tree"]
+        assert [child["name"] for child in root["children"]] == ["pool.task"]
+        # Outside any scope a task sees no trace at all.
+        pool = WorkerPool(1, name="test-ctx-empty")
+        try:
+            assert pool.submit(current_trace_id).get(timeout=5.0) is None
+        finally:
+            pool.close()
+
+    def test_concurrent_submitters_each_keep_their_own_trace(self):
+        """Many threads submitting to one pool under different traces:
+        every task sees exactly its submitter's trace id."""
+        pool = WorkerPool(4, name="test-ctx-stress")
+        seen = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            def submitter(index):
+                trace_id = "req-{}".format(index)
+                with trace_scope(trace_id):
+                    handles = [pool.submit(current_trace_id)
+                               for _ in range(50)]
+                seen[trace_id] = [handle.get(timeout=10.0)
+                                  for handle in handles]
+
+            threads = [threading.Thread(target=submitter, args=(index,))
+                       for index in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            pool.close()
+        assert len(seen) == 8
+        for trace_id, observed in seen.items():
+            assert observed == [trace_id] * 50
 
     def test_span_ids_are_unique_and_duration_measured(self):
         assert len({span_scope("x")._name for _ in range(1)}) == 1  # smoke
@@ -618,13 +686,35 @@ class TestSpanStore:
 
     def test_orphan_parent_becomes_root(self):
         store = SpanStore()
-        with trace_scope("t-orphan"):
-            with span_scope("late", store=store,
-                            context=SpanContext("t-orphan", "gone")):
-                pass
+        late = Span("t-orphan", 1, "gone", "late")
+        late.finish()
+        store.add(late)
         (root,) = store.trace("t-orphan")["tree"]
         assert root["name"] == "late"
         assert root["parent_id"] == "gone"
+
+    def test_root_span_survives_a_full_trace(self):
+        """The root finishes last, after its children filled the cap: it
+        is still stored, and the listing names it as the root."""
+        store = SpanStore(max_spans_per_trace=4)
+        with trace_scope("t-full"):
+            with span_scope("gateway.request", store=store) as root:
+                for _ in range(6):
+                    with span_scope("journal.append", store=store):
+                        pass
+        doc = store.trace("t-full")
+        assert doc["span_count"] == 5
+        assert doc["dropped_spans"] == 2
+        (tree_root,) = doc["tree"]
+        assert tree_root["span_id"] == root.span_id
+        assert len(tree_root["children"]) == 4
+        (row,) = store.traces()
+        assert row["root"] == "gateway.request"
+        # Only the first root rides past the cap.
+        extra = Span("t-full", new_span_id(), None, "replication.apply")
+        extra.finish()
+        store.add(extra)
+        assert store.trace("t-full")["span_count"] == 5
 
     def test_traces_listing_is_newest_first_and_limited(self):
         store = SpanStore()
@@ -1049,6 +1139,59 @@ class _StubRegistry:
 
     def instruments(self):
         return list(self._instruments)
+
+
+def _cell(count, total, buckets, **labels):
+    """One histogram snapshot series."""
+    return {"labels": labels, "count": count, "sum": total, "buckets": buckets}
+
+
+class TestWindowDeltas:
+    """Edge cases of the one windowed-delta engine that the history rings
+    and the SLO rules share — one parametrized input per case."""
+
+    @pytest.mark.parametrize("function, args, expected", [
+        pytest.param(counter_delta, (None, 5.0), 5.0,
+                     id="first-sighting-counter"),
+        pytest.param(histogram_delta,
+                     (None, (3, 0.3, {"0.1": 2, "1": 1})),
+                     (3, 0.3, {"0.1": 2, "1": 1}),
+                     id="first-sighting-histogram"),
+        pytest.param(counter_delta, (58.0, 66.0), 8.0, id="counter-steady"),
+        pytest.param(counter_delta, (58.0, 3.0), 3.0, id="counter-reset"),
+        pytest.param(histogram_delta,
+                     ((10, 5.0, {"0.1": 4, "1": 6}),
+                      (12, 5.5, {"0.1": 4, "1": 8})),
+                     (2, 0.5, {"0.1": 0, "1": 2}),
+                     id="histogram-steady"),
+        pytest.param(histogram_delta,
+                     ((10, 5.0, {"0.1": 4, "1": 6}),
+                      (2, 0.1, {"0.1": 2, "1": 0})),
+                     (2, 0.1, {"0.1": 2, "1": 0}),
+                     id="histogram-count-reset"),
+        pytest.param(histogram_delta,
+                     ((10, 5.0, {"0.1": 4, "1": 6}),
+                      (11, 5.0, {"0.5": 11})),
+                     (11, 5.0, {"0.5": 11}),
+                     id="histogram-bounds-changed"),
+        pytest.param(bucket_quantile, ({"0.1": 1, "1": 0}, 3, 0.5),
+                     float("inf"), id="inf-overflow"),
+        pytest.param(bucket_quantile, ({"0.1": 1, "1": 1}, 2, 0.5), 0.1,
+                     id="quantile-on-a-bound"),
+        pytest.param(histogram_delta,
+                     ((4, 1.0, {"0.1": 4}), (4, 1.0, {"0.1": 4})),
+                     (0, 0.0, {"0.1": 0}),
+                     id="empty-window-delta"),
+        pytest.param(bucket_quantile, ({"0.1": 0}, 0, 0.99), 0.0,
+                     id="empty-window-quantile"),
+        pytest.param(histogram_reading,
+                     ([_cell(2, 0.1, {"0.1": 2, "1": 0}, route="a"),
+                       _cell(3, 2.5, {"0.1": 0, "1": 3}, route="b")],),
+                     (5, 2.6, {"0.1": 2, "1": 3}),
+                     id="series-merged-across-label-sets"),
+    ])
+    def test_shared_delta_functions(self, function, args, expected):
+        assert function(*args) == expected
 
 
 class TestMetricHistory:
