@@ -533,7 +533,7 @@ class GeleeClient:
         return data
 
     def cluster_self(self, endpoint: str = None) -> Dict[str, Any]:
-        """One node's own cluster row (role, health, lag, deltas)."""
+        """One node's status document, its row in the cluster view."""
         data, _ = self.call("GET", "/v2/runtime/cluster/self",
                             endpoint=endpoint)
         return data

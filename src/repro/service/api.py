@@ -54,6 +54,58 @@ from .v2.operations import Operation, OperationStore
 from .v2.pagination import PageInfo, PageRequest, decode_cursor, encode_cursor, paginate
 
 
+#: The node document's sections that the monitoring summary embeds.
+NODE_SECTIONS = ("replication", "coordination", "telemetry", "alerts",
+                 "observability")
+REPLICATION_KEYS = ("role", "applied_seq", "head_seq", "lag_records",
+                    "lag_seconds", "promoted", "journal_seq", "followers",
+                    "max_follower_lag")
+COORDINATION_KEYS = ("role", "is_leader", "leader_id", "node_id", "token",
+                     "latest_token", "ttl_seconds", "lease_expires_in",
+                     "elections", "depositions", "failovers", "demotions",
+                     "fenced_appends")
+
+
+def _pick(status: Dict[str, Any], keys) -> Dict[str, Any]:
+    return {key: status[key] for key in keys if key in status}
+
+
+def _telemetry_section(registry) -> Dict[str, Any]:
+    """Headline registry figures: volume, dispatch, journal, lag, churn."""
+
+    def snapshot(name):
+        instrument = registry.get(name)
+        return None if instrument is None else instrument.snapshot()
+
+    section: Dict[str, Any] = {"enabled": registry.enabled}
+    for key, name in (
+            ("api_requests", "gelee_api_requests_total"),
+            ("actions_completed", "gelee_dispatch_completed_total"),
+            ("timers_fired", "gelee_timers_fired_total"),
+            ("fencing_rejections", "gelee_fencing_rejections_total"),
+            ("election_transitions", "gelee_election_transitions_total")):
+        cell = snapshot(name)
+        section[key] = 0.0 if cell is None else sum(
+            series["value"] for series in cell["series"])
+    for key, name in (("in_flight", "gelee_dispatch_in_flight"),
+                      ("journal_last_seq", "gelee_journal_last_seq"),
+                      ("replication_lag_records",
+                       "gelee_replication_lag_records")):
+        cell = snapshot(name)
+        if cell is not None and cell["series"]:
+            section[key] = cell["series"][0]["value"]
+    for key, name in (
+            ("dispatch_wait_mean_seconds", "gelee_dispatch_wait_seconds"),
+            ("lock_wait_mean_seconds", "gelee_lock_wait_seconds")):
+        cell = snapshot(name)
+        if cell is None:
+            continue
+        counts = sum(series["count"] for series in cell["series"])
+        sums = sum(series["sum"] for series in cell["series"])
+        section[key] = sums / counts if counts else 0.0
+    return section
+
+
 class GeleeService:
     """Application service: the operations the hosted platform offers."""
 
@@ -445,18 +497,10 @@ class GeleeService:
 
     # -------------------------------------------------------------- monitoring
     def monitoring_summary(self, model_uri: str = None) -> Dict[str, Any]:
+        """The portfolio summary plus the node document's sections."""
         summary = self.cockpit.portfolio_summary(model_uri=model_uri).to_dict()
-        if self.replication is not None:
-            summary["replication"] = self.cockpit.replication_rollup(
-                self.replication)
-        if self.coordination is not None:
-            summary["coordination"] = self.cockpit.coordination_rollup(
-                self.coordination)
-        self._refresh_telemetry_gauges()
-        summary["telemetry"] = self.cockpit.telemetry_rollup(get_registry())
-        summary["alerts"] = self.cockpit.alerts_rollup(self.slo)
-        summary["observability"] = self.cockpit.observability_rollup(
-            self.history, get_log_ring(), self.profiler)
+        node = self.node_status()
+        summary.update((key, node[key]) for key in NODE_SECTIONS if key in node)
         return summary
 
     def monitoring_table(self, model_uri: str = None, owner: str = None) -> List[Dict[str, Any]]:
@@ -669,45 +713,63 @@ class GeleeService:
         return {"node_id": self._node_id(), "stats": ring.stats(),
                 "records": records}
 
-    # ---------------------------------------------------------------- cluster
-    def cluster_self_summary(self) -> Dict[str, Any]:
-        """This node's row in the federated cluster view."""
+    # ------------------------------------------------------------ node status
+    def node_status(self) -> Dict[str, Any]:
+        """This node's status document (``GET /v2/runtime/cluster/self``).
+
+        The one projection of node state: the cluster view federates it
+        row by row and :meth:`monitoring_summary` embeds its
+        :data:`NODE_SECTIONS`.  Each section keeps only the at-a-glance
+        figures; the full pictures live at ``/v2/runtime/replication``,
+        ``/v2/runtime/coordination``, ``/v2/runtime/telemetry``,
+        ``/v2/runtime/alerts`` and the observability routes.
+        """
         self._refresh_telemetry_gauges()
-        alerts = self.slo.status()
-        firing = [alert["rule"] for alert in alerts["alerts"]
-                  if alert["state"] == "firing"]
-        summary: Dict[str, Any] = {
+        status: Dict[str, Any] = {
             "node_id": self._node_id(),
             "role": self._role(),
             "read_only": self.read_only,
             "primary_hint": self.primary_hint,
+            "captured_at": self.manager.clock.now().isoformat(),
             "instances": self.manager.instance_count(),
             "pending_timers": self.scheduler.timers.pending_count,
-            "alerts": {"firing": len(firing), "names": firing},
-            "history": {key: self.history.stats()[key]
-                        for key in ("captures", "series", "last_capture_at")},
-            "deltas": self.history.recent_deltas(KEY_DELTA_PREFIXES),
-            "captured_at": self.manager.clock.now().isoformat(),
         }
         if self.persistence is not None:
-            summary["journal_seq"] = self.persistence.journal.last_seq
+            status["journal_seq"] = self.persistence.journal.last_seq
         if self.replication is not None:
-            replication = self.replication.status()
-            summary["replication"] = {
-                key: replication[key] for key in
-                ("role", "lag_records", "max_follower_lag", "applied_seq",
-                 "journal_seq") if key in replication}
+            status["replication"] = _pick(self.replication.status(),
+                                          REPLICATION_KEYS)
         if self.coordination is not None:
             try:
                 coordination = self.coordination.status()
             except GeleeError:
                 coordination = {}
-            summary["coordination"] = {
-                key: coordination[key] for key in ("role", "leader_id",
-                                                   "is_leader")
-                if key in coordination}
-        return summary
+            status["coordination"] = _pick(coordination, COORDINATION_KEYS)
+        status["telemetry"] = _telemetry_section(get_registry())
+        alerts = self.slo.status()
+        firing = [alert for alert in alerts["alerts"]
+                  if alert["state"] == "firing"]
+        status["alerts"] = {
+            "rules": len(alerts["rules"]),
+            "firing": len(firing),
+            "firing_rules": [_pick(alert, ("rule", "severity", "value",
+                                           "threshold", "fired_at"))
+                             for alert in firing],
+            "evaluations": alerts["evaluations"],
+            "last_evaluated_at": alerts["last_evaluated_at"],
+        }
+        logs = get_log_ring().stats()
+        status["observability"] = {
+            "history": _pick(self.history.stats(), (
+                "enabled", "captures", "series", "last_capture_at")),
+            "logs": _pick(logs, ("enabled", "size", "capacity", "dropped")),
+            "profiler": {"running": self.profiler.running,
+                         "samples": self.profiler.status()["samples"]},
+        }
+        status["deltas"] = self.history.recent_deltas(KEY_DELTA_PREFIXES)
+        return status
 
+    # ---------------------------------------------------------------- cluster
     def cluster_status(self) -> Dict[str, Any]:
         """The merged multi-node view for ``GET /v2/runtime/cluster``."""
         return self.cluster.status()

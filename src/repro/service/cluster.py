@@ -7,8 +7,10 @@ explicitly via :meth:`ClusterView.register` or
 ``POST /v2/runtime/cluster:register``.  ``GET /v2/runtime/cluster`` fans
 out to every peer's ``/v2/runtime/cluster/self`` — through an in-process
 :class:`~repro.service.rest.RestRouter` handle or over HTTP — and merges
-the answers into a single envelope of role, health, lag, firing alerts
-and recent metric deltas.
+the answers into a single envelope.  Each row is that node's status
+document (:meth:`~repro.service.api.GeleeService.node_status`): role,
+counts, replication, coordination, telemetry, alerts, observability and
+recent metric deltas.
 
 Fan-out never fails the merged view: a dead or unregistered peer's row
 carries a ``NODE_UNREACHABLE`` error payload and the response is marked
@@ -93,7 +95,7 @@ class ClusterView:
 
     def status(self) -> Dict[str, Any]:
         """The merged cluster envelope; partial over unreachable peers."""
-        own = self._service.cluster_self_summary()
+        own = self._service.node_status()
         own_row = dict(own)
         own_row["reachable"] = True
         own_row["via"] = "self"
@@ -167,9 +169,9 @@ class ClusterView:
         """Peer node ids this node already knows about, with their origin.
 
         Fed by the replication attachment (a primary's follower table)
-        and the coordination lease (the current leader) — the registry
-        the tentpole asks for.  Discovered ids without a registered
-        transport surface as unreachable rows rather than being hidden.
+        and the coordination lease (the current leader).  Discovered ids
+        without a registered transport surface as unreachable rows rather
+        than being hidden.
         """
         service = self._service
         discovered: List[Tuple[str, str]] = []

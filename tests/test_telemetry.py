@@ -413,7 +413,7 @@ class TestTelemetryRoutes:
         assert "gelee_replication_records_applied_total" in replica_text
         service.close()
 
-    def test_monitoring_summary_includes_telemetry_rollup(self):
+    def test_monitoring_summary_includes_telemetry_section(self):
         router = RestRouter(shard_count=2)
         router.get("/v2/models")
         summary = router.get("/v2/monitoring/summary").body["data"]
@@ -1600,7 +1600,7 @@ class TestClusterView:
         assert row["reachable"] is True and row["via"] == "self"
         assert row["role"] == "primary"
         assert data["reported_by"] == row["node_id"]
-        assert "history" in row and "alerts" in row
+        assert "history" in row["observability"] and "alerts" in row
 
     def test_two_nodes_merge_in_process(self):
         router_a = RestRouter(shard_count=2)
@@ -1668,6 +1668,46 @@ class TestClusterView:
             assert data["node_count"] == 1 and not data["partial"]
         finally:
             service.close()
+
+    def test_summary_embeds_the_node_document_sections(self, root):
+        from repro.coordination import CoordinationConfig, MemoryLeaseStore
+
+        clock = SimulatedClock()
+        config = PersistenceConfig(os.path.join(root, "primary"),
+                                   fsync="never")
+        primary = GeleeService(
+            clock=clock, persistence=config,
+            coordination=CoordinationConfig(
+                store=MemoryLeaseStore(clock=clock), node_id="node-a"))
+        ReplicationPrimary(primary)
+        try:
+            primary.manager.publish_model(simple_model(), actor="alice")
+            replica = ReadReplica(JournalShippingSource(config),
+                                  clock=SimulatedClock())
+            replica.sync()
+            nodes = {}
+            for name, router in (("primary", RestRouter(service=primary)),
+                                 ("replica", replica.router())):
+                summary = router.get("/v2/monitoring/summary").body["data"]
+                node = router.get("/v2/runtime/cluster/self").body["data"]
+                # The summary request itself lands in the registry and the
+                # log ring before the node document is read.
+                summary["telemetry"]["api_requests"] += 1
+                summary["observability"]["logs"]["size"] += 1
+                for section in ("replication", "coordination", "telemetry",
+                                "alerts", "observability"):
+                    assert summary.get(section) == node.get(section), section
+                nodes[name] = node
+            coordination = nodes["primary"]["coordination"]
+            assert coordination["leader_id"] == "node-a"
+            assert coordination["is_leader"] is True
+            replication = nodes["replica"]["replication"]
+            assert replication["lag_records"] == 0
+            assert replication["applied_seq"] == \
+                primary.persistence.journal.last_seq > 0
+            assert "coordination" not in nodes["replica"]
+        finally:
+            primary.close()
 
 
 # ======================================================= observability routes
@@ -1777,7 +1817,7 @@ class TestObservabilityRoutes:
         assert denied.status == 409
         service.close()
 
-    def test_monitoring_summary_observability_rollup(self):
+    def test_monitoring_summary_observability_section(self):
         router = RestRouter(shard_count=2)
         router.post("/v2/runtime/telemetry/history:capture")
         summary = router.get("/v2/monitoring/summary").body["data"]
