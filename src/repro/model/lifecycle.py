@@ -59,7 +59,7 @@ class LifecycleModel:
         """Return the phase with ``phase_id`` or raise :class:`UnknownPhaseError`."""
         try:
             return self._phases[phase_id]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable id off the wire
             raise UnknownPhaseError(
                 "lifecycle {!r} has no phase {!r}".format(self.name, phase_id)
             ) from None

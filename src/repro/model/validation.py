@@ -36,7 +36,7 @@ def lifecycle_problems(model: LifecycleModel) -> ValidationReport:
     """Inspect ``model`` and return errors and warnings without raising."""
     report = ValidationReport()
 
-    if not model.name or not model.name.strip():
+    if not isinstance(model.name, str) or not model.name.strip():
         report.errors.append("the lifecycle needs a non-empty name")
     if len(model) == 0:
         report.errors.append("the lifecycle has no phases")

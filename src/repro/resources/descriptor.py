@@ -81,12 +81,22 @@ class ResourceDescriptor:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ResourceDescriptor":
+        """Decode a descriptor; a malformed document raises ValidationError."""
+        if not isinstance(data, dict):
+            raise ValidationError(["a resource descriptor must be an object"])
         credentials_data = data.get("credentials")
-        return cls(
-            uri=data["uri"],
-            resource_type=data["resource_type"],
-            display_name=data.get("display_name", ""),
-            owner=data.get("owner", ""),
-            credentials=Credentials.from_dict(credentials_data) if credentials_data else None,
-            metadata=dict(data.get("metadata", {})),
-        )
+        try:
+            return cls(
+                uri=data["uri"],
+                resource_type=data["resource_type"],
+                display_name=data.get("display_name", ""),
+                owner=data.get("owner", ""),
+                credentials=Credentials.from_dict(credentials_data) if credentials_data else None,
+                metadata=dict(data.get("metadata", {})),
+            )
+        except KeyError as exc:
+            raise ValidationError(
+                ["a resource descriptor needs field {}".format(exc)]) from exc
+        except (TypeError, AttributeError, ValueError) as exc:
+            raise ValidationError(
+                ["malformed resource descriptor: {}".format(exc)]) from exc

@@ -39,13 +39,23 @@ def lifecycle_to_json(model: LifecycleModel, pretty: bool = False) -> str:
 
 def lifecycle_from_json(document: str) -> LifecycleModel:
     """Parse a lifecycle model from its JSON form."""
-    data = from_json(document)
+    return lifecycle_from_dict(from_json(document))
+
+
+def lifecycle_from_dict(data: Any) -> LifecycleModel:
+    """Build a lifecycle model from a decoded JSON document.
+
+    A document of the wrong shape — not an object, a missing field, a
+    field of the wrong type — raises :class:`SerializationError`.
+    """
     if not isinstance(data, dict):
         raise SerializationError("a lifecycle JSON document must be an object")
     try:
         return LifecycleModel.from_dict(data)
     except KeyError as exc:
         raise SerializationError("lifecycle JSON is missing field {}".format(exc)) from exc
+    except (TypeError, AttributeError, ValueError) as exc:
+        raise SerializationError("lifecycle JSON is malformed: {}".format(exc)) from exc
 
 
 def instance_to_json(instance, pretty: bool = False) -> str:

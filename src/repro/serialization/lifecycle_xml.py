@@ -105,6 +105,8 @@ def lifecycle_to_xml(model: LifecycleModel, pretty: bool = True) -> str:
 
 def lifecycle_from_xml(document: str) -> LifecycleModel:
     """Parse a Table I XML document back into a :class:`LifecycleModel`."""
+    if not isinstance(document, (str, bytes)):
+        raise SerializationError("lifecycle XML must be a string")
     try:
         root = ET.fromstring(document)
     except ET.ParseError as exc:

@@ -27,7 +27,6 @@ from ..errors import (
     TimerNotFoundError,
     TraceNotFoundError,
 )
-from ..model.lifecycle import LifecycleModel
 from ..monitoring.alerts import collect_alerts
 from ..monitoring.cockpit import MonitoringCockpit
 from ..persistence import PersistenceConfig, PersistenceCoordinator, recover_into
@@ -37,6 +36,7 @@ from ..runtime.instance import InstanceStatus
 from ..runtime.manager import LifecycleManager
 from ..runtime.sharding import ShardedLifecycleManager
 from ..scheduler import LifecycleScheduler, SchedulerConfig, TimerService
+from ..serialization.json_codec import lifecycle_from_dict
 from ..serialization.lifecycle_xml import lifecycle_from_xml, lifecycle_to_xml
 from ..storage.definitions import DefinitionStore
 from ..storage.logstore import ExecutionLog
@@ -393,7 +393,7 @@ class GeleeService:
         ]
 
     def publish_model_json(self, document: Dict[str, Any], actor: str = "") -> Dict[str, Any]:
-        model = LifecycleModel.from_dict(document)
+        model = lifecycle_from_dict(document)
         self.manager.publish_model(model, actor=actor)
         return {"uri": model.uri, "version": model.version.version_number}
 

@@ -156,6 +156,13 @@ class RestRouter:
                 allowed.add(route.method)
                 continue
             request.context["route"] = route.name
+            # Every route reads its body as a JSON object; anything else
+            # (or a body the transport could not decode) is the caller's 400.
+            problem = request.context.get("body_error")
+            if problem is None and request.body is not None and not isinstance(request.body, dict):
+                problem = "request body must be a JSON object"
+            if problem is not None:
+                raise ServiceError(problem)
             result = route.handler(request, match.groupdict())
             response = result if isinstance(result, Response) else Response(
                 route.status, result)

@@ -100,13 +100,14 @@ class Request:
     query: Dict[str, str] = field(default_factory=dict)
     body: Optional[Dict[str, Any]] = None
     actor: Optional[str] = None
-    #: Per-request scratch space written by the middleware pipeline
-    #: (request id, matched route, timings).
+    #: Per-request scratch space written by the transport and the
+    #: middleware pipeline (request id, matched route, ``body_error`` for
+    #: a body the transport could not decode, ``fault`` for a 500).
     context: Dict[str, Any] = field(default_factory=dict)
 
     def param(self, name: str, default: Any = None) -> Any:
         """Look a parameter up in the body first, then in the query string."""
-        if self.body and name in self.body:
+        if isinstance(self.body, dict) and name in self.body:
             return self.body[name]
         return self.query.get(name, default)
 

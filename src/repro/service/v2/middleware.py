@@ -17,13 +17,15 @@ versions, so cross-cutting concerns live in exactly one place:
 ``ErrorTranslationMiddleware``
     converts :class:`~repro.errors.GeleeError` into a response: the legacy
     v1 ``{"error": ...}`` body with the historical status mapping, or the v2
-    envelope with catalog codes — selected per request path.
+    envelope with catalog codes — selected per request path.  Any other
+    exception becomes a 500 ``INTERNAL_ERROR`` with a generic message.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+import traceback
 from typing import Any, Callable, Dict, List
 
 from ...errors import (
@@ -42,7 +44,7 @@ from ...telemetry import get_registry, span_scope, trace_scope
 from ...telemetry.logring import get_log_ring
 from ...telemetry.log import JsonLogEmitter
 from ..transport import Request, Response
-from .envelope import Envelope, error_info_for, new_request_id
+from .envelope import Envelope, ErrorInfo, error_info_for, new_request_id
 
 #: A middleware takes the request and the next stage, returns a response.
 Middleware = Callable[[Request, Callable[[Request], Response]], Response]
@@ -121,6 +123,9 @@ class RequestIdMiddleware:
                 response = call_next(request)
                 if span is not None:
                     span.attrs["status"] = response.status
+                    fault = request.context.get("fault")
+                    if fault is not None:
+                        span.status, span.error = "error", fault
                     route = request.context.get("route")
                     if route is not None:
                         span.attrs["route"] = route
@@ -228,7 +233,19 @@ class ReadOnlyGuardMiddleware:
 
 
 class ErrorTranslationMiddleware:
-    """Translate library errors into the version-appropriate wire shape."""
+    """Translate library errors into the version-appropriate wire shape.
+
+    An exception outside the catalog is a server fault, never the caller's:
+    it answers 500 ``INTERNAL_ERROR`` (v1: ``{"error": "internal error"}``)
+    without echoing the exception text.  The traceback goes to the log
+    ring as a ``request.failed`` record, and the exception type is left in
+    ``request.context["fault"]`` for the request span.  Sitting inside
+    :class:`TimingMiddleware`, the 500 is counted and logged like any
+    other response.
+    """
+
+    def __init__(self):
+        self._log = JsonLogEmitter(component="gateway", sink=get_log_ring())
 
     def __call__(self, request: Request, call_next) -> Response:
         try:
@@ -237,6 +254,19 @@ class ErrorTranslationMiddleware:
             if request.is_v2:
                 return self.v2_error_response(request, exc)
             return self.v1_error_response(exc)
+        except Exception as exc:  # noqa: BLE001 - the transport's last net
+            request.context["fault"] = type(exc).__name__
+            self._log.error("request.failed", method=request.method,
+                            route=request.context.get("route"),
+                            exception=type(exc).__name__,
+                            traceback=traceback.format_exc())
+            if request.is_v2:
+                info = ErrorInfo(code="INTERNAL_ERROR", message="internal error",
+                                 status=500)
+                envelope = Envelope.failure(
+                    info, request_id=request.context.get("request_id", ""))
+                return Response(500, envelope.to_dict())
+            return Response(500, {"error": "internal error"})
 
     @staticmethod
     def v2_error_response(request: Request, exc: BaseException) -> Response:

@@ -414,7 +414,9 @@ class span_scope:
     is active); mutate ``span.attrs`` to annotate after the fact.
 
     If the block raises, the span finishes with ``status="error"`` and
-    the exception type as ``error``; the exception propagates.
+    the exception type as ``error``; the exception propagates.  A block
+    that handles a failure itself may set ``span.status``/``span.error``
+    and the exit keeps them.
     """
 
     __slots__ = ("_name", "_attrs", "_store", "_span", "_token")
@@ -450,7 +452,7 @@ class span_scope:
         if exc_type is not None:
             span.status = "error"
             span.error = exc_type.__name__
-        else:
+        elif span.status == "in_progress":
             span.status = "ok"
         self._store.add(span)
 

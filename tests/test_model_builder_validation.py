@@ -107,6 +107,14 @@ class TestValidation:
         report = lifecycle_problems(builder.peek())
         assert any("name" in problem for problem in report.errors)
 
+    def test_name_that_is_not_text_is_error(self):
+        builder = LifecycleBuilder("X")
+        builder.phase("A")
+        model = builder.peek()
+        model.name = 1
+        report = lifecycle_problems(model)
+        assert any("name" in problem for problem in report.errors)
+
     def test_no_begin_is_warning_only(self):
         builder = LifecycleBuilder("X").phase("A").terminal("B")
         builder.transition("A", "B")

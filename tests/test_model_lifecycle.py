@@ -34,6 +34,11 @@ class TestPhaseManagement:
         with pytest.raises(UnknownPhaseError):
             build_simple_model().phase("missing")
 
+    def test_unhashable_phase_id_is_an_unknown_phase(self):
+        # A JSON body can carry a list or object where a phase id belongs.
+        with pytest.raises(UnknownPhaseError):
+            build_simple_model().phase({"draft": 1})
+
     def test_remove_phase_drops_transitions(self):
         model = build_simple_model()
         model.remove_phase("review")

@@ -50,6 +50,16 @@ class TestResourceDescriptor:
         assert restored.uri == descriptor.uri
         assert restored.metadata == {"wp": "WP2"}
 
+    @pytest.mark.parametrize("document", [
+        "gdoc://D1.1", ["urn:doc:1"], {}, {"uri": "urn:doc:1"},
+        {"uri": 7, "resource_type": "Google Doc"},
+        {"uri": "urn:doc:1", "resource_type": "Google Doc", "metadata": "wp"},
+        {"uri": "urn:doc:1", "resource_type": "Google Doc", "credentials": "alice"},
+    ])
+    def test_malformed_document_raises_validation_error(self, document):
+        with pytest.raises(ValidationError):
+            ResourceDescriptor.from_dict(document)
+
     def test_same_uri_different_types_allowed(self):
         # Light-coupling: nothing prevents two descriptors over the same URI.
         first = ResourceDescriptor(uri="urn:doc:1", resource_type="Google Doc")

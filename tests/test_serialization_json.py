@@ -49,6 +49,16 @@ class TestLifecycleJson:
         with pytest.raises(SerializationError):
             lifecycle_from_json("{}")
 
+    @pytest.mark.parametrize("document", [
+        '{"name": "x", "phases": [1]}',
+        '{"name": "x", "phases": [{"name": "no id"}]}',
+        '{"name": "x", "version": "1.0"}',
+        '{"name": "x", "metadata": "m"}',
+    ])
+    def test_rejects_fields_of_the_wrong_shape(self, document):
+        with pytest.raises(SerializationError):
+            lifecycle_from_json(document)
+
 
 class TestInstanceJson:
     def test_serializes_any_to_dict_object(self, manager, eu_model, google_doc):

@@ -95,6 +95,11 @@ class TestLifecycleXmlParsing:
         with pytest.raises(SerializationError):
             lifecycle_from_xml("<process><name>X</name>")
 
+    @pytest.mark.parametrize("document", [1.5, {"name": "X"}, None])
+    def test_rejects_a_document_that_is_not_text(self, document):
+        with pytest.raises(SerializationError):
+            lifecycle_from_xml(document)
+
     def test_rejects_wrong_root(self):
         with pytest.raises(SerializationError):
             lifecycle_from_xml("<workflow/>")
