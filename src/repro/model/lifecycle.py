@@ -16,14 +16,19 @@ from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 from ..errors import DuplicatePhaseError, ModelError, UnknownPhaseError
 from ..identifiers import new_id
 from .actions import ActionCall
-from .phase import Phase
+from .phase import Freezable, Phase
 from .transition import BEGIN, END, Transition
 from .versioning import VersionInfo
 
 
 @dataclass
-class LifecycleModel:
+class LifecycleModel(Freezable):
     """A reusable lifecycle definition (the ``<process>`` of Table I).
+
+    Publishing freezes a version (:meth:`freeze`): every instance started
+    from it shares the one object, so the phase/transition mutators and
+    attribute assignment then raise :class:`ModelError`.  :meth:`copy` and
+    :meth:`new_version` return unfrozen models to edit.
 
     Attributes:
         name: display name, e.g. "EU Project deliverable lifecycle".
@@ -69,6 +74,7 @@ class LifecycleModel:
 
     def add_phase(self, phase: Phase) -> Phase:
         """Add a phase; ids must be unique within the lifecycle."""
+        self._require_mutable()
         if phase.phase_id in self._phases:
             raise DuplicatePhaseError(
                 "phase id {!r} already exists in lifecycle {!r}".format(phase.phase_id, self.name)
@@ -78,6 +84,7 @@ class LifecycleModel:
 
     def remove_phase(self, phase_id: str) -> Phase:
         """Remove a phase and every transition touching it."""
+        self._require_mutable()
         phase = self.phase(phase_id)
         del self._phases[phase_id]
         self._transitions = [
@@ -86,6 +93,7 @@ class LifecycleModel:
         return phase
 
     def rename_phase(self, phase_id: str, new_name: str) -> Phase:
+        self._require_mutable()
         phase = self.phase(phase_id)
         phase.name = new_name
         return phase
@@ -101,6 +109,7 @@ class LifecycleModel:
 
     def add_transition(self, source: str, target: str, label: str = "") -> Transition:
         """Add a suggested transition between two phases (or BEGIN/END markers)."""
+        self._require_mutable()
         if source != BEGIN and source not in self._phases:
             raise UnknownPhaseError("transition source {!r} is not a phase".format(source))
         if target != END and target not in self._phases:
@@ -113,6 +122,7 @@ class LifecycleModel:
         return transition
 
     def remove_transition(self, source: str, target: str) -> None:
+        self._require_mutable()
         self._transitions = [
             t for t in self._transitions if not (t.source == source and t.target == target)
         ]
@@ -183,9 +193,23 @@ class LifecycleModel:
         """
         return len(self._phases) + len(self._transitions) + len(self.action_calls())
 
-    # -------------------------------------------------------------------- copies
+    # ------------------------------------------------------------ copies/freeze
+    def freeze(self) -> "LifecycleModel":
+        """Make this version immutable, phases included; returns ``self``.
+
+        The catalog calls this when it stores a version (publish, replay,
+        snapshot restore), so a frozen model is always a catalog version.
+        """
+        for phase in self._phases.values():
+            phase._freeze()
+        self._freeze()
+        return self
+
+    def _label(self) -> str:
+        return "model {!r} version {}".format(self.uri, self.version.version_number)
+
     def copy(self, new_uri: bool = False) -> "LifecycleModel":
-        """Deep copy of the model; optionally mint a fresh URI."""
+        """Deep, unfrozen copy of the model; optionally mint a fresh URI."""
         duplicate = LifecycleModel(
             name=self.name,
             uri=new_id("lifecycle") if new_uri else self.uri,

@@ -18,8 +18,40 @@ from .actions import ActionCall
 from .deadline import Deadline
 
 
+class Freezable:
+    """Mixin for model objects a published model version shares.
+
+    Once :meth:`_freeze` ran, attribute assignment and every mutator that
+    calls :meth:`_require_mutable` raise :class:`ModelError`: many instances
+    follow the same published object, so editing it in place would change
+    all of them at once.  ``copy()`` returns an unfrozen duplicate to edit.
+    """
+
+    _frozen = False
+
+    @property
+    def frozen(self) -> bool:
+        return self._frozen
+
+    def _freeze(self) -> None:
+        object.__setattr__(self, "_frozen", True)
+
+    def _require_mutable(self) -> None:
+        if self._frozen:
+            raise ModelError(
+                "{} belongs to a published model version and cannot change; "
+                "edit a copy()".format(self._label()))
+
+    def _label(self) -> str:
+        raise NotImplementedError
+
+    def __setattr__(self, name, value):
+        self._require_mutable()
+        object.__setattr__(self, name, value)
+
+
 @dataclass
-class Phase:
+class Phase(Freezable):
     """A single phase (state) of a lifecycle model.
 
     Attributes:
@@ -62,12 +94,16 @@ class Phase:
 
     def add_action(self, call: ActionCall) -> "Phase":
         """Attach an action call; rejected on terminal phases."""
+        self._require_mutable()
         if self.terminal:
             raise ModelError(
                 "cannot add actions to end phase {!r} (paper §IV.B)".format(self.phase_id)
             )
         self.actions.append(call)
         return self
+
+    def _label(self) -> str:
+        return "phase {!r}".format(self.phase_id)
 
     def action_uris(self) -> List[str]:
         return [call.action_uri for call in self.actions]

@@ -10,7 +10,11 @@ and rebuilds the pre-crash state in three steps:
    per instance.  Everything is installed through the silent recovery hooks
    (:meth:`~repro.runtime.manager.LifecycleManager.install_model` /
    ``install_instance``) — recovered state is *not* re-published on the
-   bus, so an attached coordinator would not journal it again.
+   bus, so an attached coordinator would not journal it again.  A document
+   refers to its published model version by ``(uri, version)`` and shares
+   the installed, frozen object; a version the manifest lacks (a document
+   newer than the manifest) waits until journal replay installs it, and
+   one that never arrives is a warning, never a substitute.
 2. **Journal replay.**  Records with ``seq > manifest.journal_seq`` are
    applied in order.  Replay is a *state reducer*, not a re-execution: a
    ``instance.phase_entered`` record moves the token via
@@ -35,9 +39,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Tuple
 
-from ..errors import GeleeError
+from ..errors import GeleeError, LifecycleNotFoundError
 from ..model.lifecycle import LifecycleModel
 from ..model.annotation import Annotation
 from ..resources.descriptor import ResourceDescriptor
@@ -136,12 +140,50 @@ class JournalReplayer:
         #: instance id -> journal seq its restored document already covers.
         self._covered: Dict[str, int] = {}
         self._touched: Dict[str, bool] = {}
+        #: (model uri, version) -> state documents whose model reference
+        #: waits for replay to install that version.
+        self._waiting: Dict[Tuple[str, str], List[Dict[str, Any]]] = {}
         #: Highest journal seq applied so far (replication lag tracking).
         self.applied_seq = 0
 
     def cover(self, instance_id: str, seq: int) -> None:
         """Mark an instance's restored document as covering ``seq``."""
         self._covered[instance_id] = seq
+
+    def restore_document(self, document: Dict[str, Any], default_seq: int) -> None:
+        """Install one instance store document, or hold it until its model
+        version is installed (a document newer than the manifest may refer
+        to a version only the journal tail publishes)."""
+        state = document["state"]
+        self.cover(state["instance_id"], int(document.get("journal_seq", default_seq)))
+        try:
+            self._install_state(state)
+        except LifecycleNotFoundError:
+            reference = state["model"]
+            key = (reference["uri"], reference["version_number"])
+            self._waiting.setdefault(key, []).append(state)
+
+    def _install_state(self, state: Dict[str, Any]) -> None:
+        self._manager.install_instance(
+            LifecycleInstance.from_state_dict(state, catalog=self._manager.model))
+        self.report.instances_restored += 1
+
+    def _install_waiting(self) -> None:
+        for key in list(self._waiting):
+            try:
+                self._manager.model(*key)
+            except LifecycleNotFoundError:
+                continue
+            for state in self._waiting.pop(key):
+                self._install_state(state)
+
+    def warn_unresolved(self) -> None:
+        """Report held documents whose model version never arrived."""
+        for (uri, version), states in self._waiting.items():
+            for state in states:
+                self.report.warnings.append(
+                    "instance {}: model {!r} version {} is not installed; the "
+                    "instance was not restored".format(state["instance_id"], uri, version))
 
     def touched_instance_ids(self) -> List[str]:
         return list(self._touched)
@@ -172,6 +214,8 @@ class JournalReplayer:
             return False
         if record.kind in MUTATING_KINDS:
             self._touched[record.subject_id] = True
+        elif self._waiting:  # a model.* record may install an awaited version
+            self._install_waiting()
         return True
 
 
@@ -198,6 +242,7 @@ def recover_into(manager, log, journal: Journal, snapshots: SnapshotStore,
 
     for record in journal.read(after_seq=base_seq):
         replayer.apply(record)
+    replayer.warn_unresolved()
 
     interrupted = fail_interrupted_invocations(manager, report=report)
     report.touched_instance_ids = replayer.touched_instance_ids()
@@ -253,8 +298,8 @@ def fail_interrupted_invocations(manager, report: RecoveryReport = None,
     return touched
 
 
-def restore_snapshot(manager, log, manifest, documents, timers=None,
-                     replayer: JournalReplayer = None) -> int:
+def restore_snapshot(manager, log, manifest, documents, timers=None, *,
+                     replayer: JournalReplayer) -> int:
     """Restore a snapshot (manifest + instance documents) into ``manager``.
 
     Returns the journal sequence number the snapshot covers (0 without a
@@ -262,9 +307,11 @@ def restore_snapshot(manager, log, manifest, documents, timers=None,
     ``manifest`` may come from the local snapshot store or shipped from a
     primary, and ``documents`` are the instance store documents either way.
     The coverage of each restored document is recorded on ``replayer`` so
-    subsequent journal replay skips what the documents already contain.
+    subsequent journal replay skips what the documents already contain, and
+    ``replayer`` holds documents whose model version replay still has to
+    install (see :meth:`JournalReplayer.restore_document`).
     """
-    report = replayer.report if replayer is not None else RecoveryReport()
+    report = replayer.report
     base_seq = 0
     if manifest is not None:
         base_seq = manifest.journal_seq
@@ -282,14 +329,8 @@ def restore_snapshot(manager, log, manifest, documents, timers=None,
     # the store flush and the manifest publish); their journal_seq makes
     # replay skip what they already contain.
     for document in documents:
-        instance = LifecycleInstance.from_state_dict(document["state"])
-        manager.install_instance(instance)
-        if replayer is not None:
-            replayer.cover(instance.instance_id,
-                           int(document.get("journal_seq", base_seq)))
-        report.instances_restored += 1
-    if replayer is not None:
-        replayer.applied_seq = max(replayer.applied_seq, base_seq)
+        replayer.restore_document(document, base_seq)
+    replayer.applied_seq = max(replayer.applied_seq, base_seq)
     return base_seq
 
 
@@ -319,7 +360,7 @@ def _apply(manager, record: JournalRecord, report: RecoveryReport) -> None:
         model = _resolve_model(manager, creation["model_uri"],
                                creation.get("model_version"))
         instance = LifecycleInstance(
-            model=model.copy(),
+            model=model,
             resource=ResourceDescriptor.from_dict(creation["resource"]),
             owner=creation["owner"],
             created_at=record.event_timestamp,
@@ -361,7 +402,7 @@ def _apply(manager, record: JournalRecord, report: RecoveryReport) -> None:
         target = record.payload.get("target_phase")
         if target is None:
             target = record.payload.get("target_phase_id")
-        instance.replace_model(LifecycleModel.from_dict(document).copy(), target)
+        instance.replace_model(LifecycleModel.from_dict(document), target)
         manager.reindex_instance(record.subject_id)
         return
 
@@ -386,9 +427,9 @@ def _apply_timer(timers, record: JournalRecord) -> None:
 
 
 def _resolve_model(manager, model_uri: str, version):
-    """The published model a recovered instance copied — exact version when
+    """The published model a recovered instance follows — exact version when
     still installed, else the latest (a later ``model_changed`` record will
-    correct the copy anyway)."""
+    correct it anyway)."""
     try:
         return manager.model(model_uri, version=version)
     except GeleeError:

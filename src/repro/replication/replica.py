@@ -255,6 +255,7 @@ class ReadReplica:
         # other failure and can re-invoke.
         from ..persistence.recovery import fail_interrupted_invocations
 
+        self._replayer.warn_unresolved()
         interrupted = len(fail_interrupted_invocations(
             self.service.manager, report=self._replayer.report))
         scheduler = self.service.scheduler

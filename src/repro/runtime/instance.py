@@ -1,10 +1,13 @@
 """Lifecycle instances.
 
 "A lifecycle instance is a particular execution of a lifecycle on a given
-resource." (§IV.B)  The instance keeps its *own copy* of the lifecycle model —
-that is the light-coupling: "Owners can change the life of a resource without
-changing the model, and designers can change the model without affecting
-running instances if they so desire."
+resource." (§IV.B)  The models are lightly coupled: "Owners can change the
+life of a resource without changing the model, and designers can change the
+model without affecting running instances if they so desire."  An instance
+starts on the published model version itself — frozen, and shared by every
+instance of that version, since republishing adds a version rather than
+editing one — and only gets its *own copy* when its owner changes its model
+(:meth:`LifecycleInstance.replace_model`).
 
 An instance records where the token is, the full visit history with entry and
 exit timestamps (feeding the monitoring cockpit), the action invocations
@@ -17,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
-from ..errors import RuntimeStateError, UnknownPhaseError
+from ..errors import LifecycleNotFoundError, RuntimeStateError, UnknownPhaseError
 from ..identifiers import new_id
 from ..model.annotation import Annotation
 from ..model.lifecycle import LifecycleModel
@@ -214,7 +217,10 @@ class LifecycleInstance:
             self.token_owners.append(user)
 
     def replace_model(self, model: LifecycleModel, target_phase_id: Optional[str]) -> None:
-        """Swap the instance's model copy (accepted change propagation).
+        """Swap the instance's model (owner change or accepted propagation).
+
+        Callers pass a copy, never a catalog object, so the instance may
+        diverge from every published version.
 
         The owner "can state in which phase the lifecycle instance should end
         up in the modified model" — instance migration reduced to state
@@ -262,14 +268,19 @@ class LifecycleInstance:
     def to_state_dict(self) -> Dict[str, Any]:
         """The *complete* durable state of the instance.
 
-        Unlike :meth:`to_dict` (the API view), this includes the instance's
-        own model copy — the light-coupling means it may differ from any
-        published version — plus the instantiation-time parameter bindings
-        and the resource credentials, so :meth:`from_state_dict` rebuilds an
-        exact replica after a process restart.
+        Unlike :meth:`to_dict` (the API view), this includes the model, the
+        instantiation-time parameter bindings and the resource credentials,
+        so :meth:`from_state_dict` rebuilds an exact replica after a process
+        restart.  A frozen model is a catalog version and is written as a
+        reference, ``{"reference": true, "uri", "version_number"}``; only a
+        model the instance diverged to (unfrozen) is inlined in full.
         """
         state = self.to_dict()
-        state["model"] = self.model.to_dict()
+        if self.model.frozen:
+            state["model"] = {"reference": True, "uri": self.model.uri,
+                              "version_number": self.model.version.version_number}
+        else:
+            state["model"] = self.model.to_dict()
         state["resource"] = self.resource.to_dict(include_credentials=True)
         state["instantiation_parameters"] = {
             call_id: dict(values)
@@ -278,11 +289,33 @@ class LifecycleInstance:
         return state
 
     @classmethod
-    def from_state_dict(cls, state: Dict[str, Any]) -> "LifecycleInstance":
-        """Rebuild an instance from :meth:`to_state_dict` (crash recovery)."""
+    def from_state_dict(cls, state: Dict[str, Any],
+                        catalog: Callable[[str, str], LifecycleModel]
+                        ) -> "LifecycleInstance":
+        """Rebuild an instance from :meth:`to_state_dict` (crash recovery).
+
+        ``catalog(uri, version)`` returns an installed model version (a
+        manager's :meth:`~repro.runtime.manager.LifecycleManager.model`).  A
+        model reference resolves through it, and a missing version raises
+        its :class:`~repro.errors.LifecycleNotFoundError` rather than
+        substituting another.  An inlined model equal to the installed
+        version of the same uri and number is replaced by that shared
+        object, so documents written before references existed converge.
+        """
         completed_at = state.get("completed_at")
+        document = state["model"]
+        if document.get("reference"):
+            model = catalog(document["uri"], document["version_number"])
+        else:
+            model = LifecycleModel.from_dict(document)
+            try:
+                installed = catalog(model.uri, model.version.version_number)
+            except LifecycleNotFoundError:
+                installed = None
+            if installed == model:
+                model = installed
         instance = cls(
-            model=LifecycleModel.from_dict(state["model"]),
+            model=model,
             resource=ResourceDescriptor.from_dict(state["resource"]),
             owner=state["owner"],
             created_at=datetime.fromisoformat(state["created_at"]),

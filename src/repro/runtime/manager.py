@@ -335,7 +335,13 @@ class LifecycleManager:
 
     # ================================================================ design time
     def publish_model(self, model: LifecycleModel, actor: str = "") -> LifecycleModel:
-        """Validate and store a lifecycle model (new model or new version)."""
+        """Validate, freeze and store a lifecycle model (new model or new version).
+
+        The stored version is ``model`` itself, frozen: every instance
+        started from it shares it, so it cannot be edited in place
+        afterwards (the caller's reference included).  Publish an edited
+        :meth:`~repro.model.lifecycle.LifecycleModel.new_version` instead.
+        """
         self._ensure_writable("model publication")
         self._check(actor, "model.publish", model.uri)
         validate_lifecycle(model)
@@ -345,7 +351,7 @@ class LifecycleManager:
                 ["version {} of model {!r} is already published".format(
                     model.version.version_number, model.uri)]
             )
-        versions.append(model)
+        versions.append(model.freeze())
         kind = "model.updated" if len(versions) > 1 else "model.published"
         self._publish(kind, model.uri, actor,
                       name=model.name, version=model.version.version_number)
@@ -384,7 +390,7 @@ class LifecycleManager:
     # event publication — recovered state must not be journaled again.
 
     def install_model(self, model: LifecycleModel) -> bool:
-        """Install an already-validated model version silently.
+        """Install (and freeze) an already-validated model version silently.
 
         Returns ``False`` (and leaves the store untouched) when that version
         is already installed, so replaying a journal is idempotent.
@@ -393,7 +399,7 @@ class LifecycleManager:
         if any(existing.version.version_number == model.version.version_number
                for existing in versions):
             return False
-        versions.append(model)
+        versions.append(model.freeze())
         return True
 
     def install_instance(self, instance: LifecycleInstance) -> LifecycleInstance:
@@ -423,8 +429,11 @@ class LifecycleManager:
                     instance_id: str = None) -> LifecycleInstance:
         """Create a lifecycle instance on a resource.
 
-        The instance receives a *copy* of the model (light-coupling) and the
-        instantiation-time parameter bindings ("actions can be configured if
+        The instance follows the stored, frozen model version itself; it is
+        shared with every other instance of that version, not copied.  Light
+        coupling still holds: republishing never touches a live instance, and
+        :meth:`change_instance_model` gives the instance its own copy.  The
+        instance also receives the instantiation-time parameter bindings ("actions can be configured if
         necessary", §IV.B).  The token is not placed yet; call :meth:`start`.
 
         ``instance_id`` lets a routing layer (the sharded runtime) pick the
@@ -442,7 +451,7 @@ class LifecycleManager:
             )
         extra = {"instance_id": instance_id} if instance_id is not None else {}
         instance = LifecycleInstance(
-            model=model.copy(),
+            model=model,
             resource=resource,
             owner=owner,
             created_at=self._clock.now(),
@@ -722,7 +731,7 @@ class LifecycleManager:
     # ---------------------------------------------------------- model evolution
     def change_instance_model(self, instance_id: str, actor: str, model: LifecycleModel,
                               target_phase_id: str = None) -> LifecycleInstance:
-        """Let the owner swap the model copy followed by one instance.
+        """Let the owner give one instance its own copy of another model.
 
         "owners can change the lifecycle followed by a resource, in other
         words they can change the model associated to a lifecycle instance"
@@ -793,7 +802,7 @@ class LifecycleManager:
         return plan
 
     def reject_change(self, proposal_id: str, actor: str, reason: str = ""):
-        """Owner rejects a propagation proposal; the instance keeps its model copy."""
+        """Owner rejects a propagation proposal; the instance keeps its model."""
         self._ensure_writable("change propagation")
         proposal = self.propagation.proposal(proposal_id)
         instance = self.instance(proposal.instance_id)

@@ -159,7 +159,7 @@ class PropagationService:
         )
 
     def reject(self, proposal_id: str, decided_by: str, reason: str = "") -> ChangeProposal:
-        """Reject the proposal; the instance keeps following its current model copy."""
+        """Reject the proposal; the instance keeps following its current model."""
         proposal = self.proposal(proposal_id)
         self._require_pending(proposal)
         proposal.decision = PropagationDecision.REJECTED

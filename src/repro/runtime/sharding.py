@@ -22,9 +22,8 @@ that kernel out *inside one process*:
   Actions dispatched by a shard sleep through their (simulated) web-service
   round-trips while other shards keep progressing.
 * **Shared design time.** Lifecycle models are design-time data, read by
-  every shard: ``publish_model`` validates once and installs the same model
-  object on all shards (instances copy the model at instantiation time, so
-  sharing the published object is safe).
+  every shard: ``publish_model`` installs the same model object on all
+  shards, frozen, so every instance of a version, on any shard, shares it.
 * **One event stream.** All shards publish on one bus, so the execution
   log, the monitoring cockpit and the widgets observe a single merged
   stream.  Pass a :class:`~repro.events.BatchingEventBus` to coalesce the

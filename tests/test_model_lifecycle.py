@@ -143,6 +143,22 @@ class TestCopyAndVersioning:
         assert revised.version.created_by == "pm"
         assert model.version.version_number == "1.0"
 
+    def test_frozen_model_copies_are_unfrozen_and_equal(self):
+        model = build_simple_model()
+        assert model.freeze() is model
+        assert model.frozen and all(phase.frozen for phase in model.phases)
+        for duplicate in (model.copy(), model.new_version(), model.copy(new_uri=True)):
+            assert not duplicate.frozen
+            assert not any(phase.frozen for phase in duplicate.phases)
+            duplicate.phase("draft").name = "Changed"
+            duplicate.add_transition("draft", "done")
+        assert model.copy() == model
+        assert model.phase("draft").name == "Draft"
+        with pytest.raises(ModelError):
+            model.phase("review").add_action(ActionCall("urn:notify", "Notify"))
+        with pytest.raises(ModelError):
+            model.description = "changed"
+
     def test_dict_round_trip(self):
         model = build_simple_model()
         restored = LifecycleModel.from_dict(model.to_dict())

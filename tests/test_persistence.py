@@ -388,9 +388,11 @@ class TestInstanceStores:
         assert document["phase_id"] == "work"
         assert document["status"] == "active"
         assert document["journal_seq"] == 42
-        # The embedded state is JSON-serializable and complete.
+        # The embedded state is JSON-serializable and complete; the
+        # published model is referenced, not inlined.
         json.dumps(document["state"])
-        assert document["state"]["model"]["uri"] == model.uri
+        assert document["state"]["model"] == {
+            "reference": True, "uri": model.uri, "version_number": "1.0"}
 
 
 # =============================================================== coordinator
@@ -671,6 +673,9 @@ class TestKillAndRestart:
         assert report.snapshot_seq == 0
         assert report.instances_created_from_journal == 20
         assert state_fingerprint(manager2, log2, model.uri) == expected
+        # Replayed instance.created records share the installed version.
+        assert {id(i.model) for i in manager2.instances()} == \
+            {id(manager2.model(model.uri))}
 
     def test_recover_then_continue_then_recover_again(self, tmp_path, backend):
         """The full restart loop: recovered deployments keep journaling."""
@@ -753,6 +758,101 @@ class TestKillAndRestartAtScale:
         assert report.warnings == []
         assert manager2.instance_count() == 1000
         assert state_fingerprint(manager2, log2, model.uri) == expected
+        # One model object for the 1,000 instances of the one version.
+        assert len({id(i.model) for i in manager2.instances()}) == 1
+        assert manager2.instances()[0].model is manager2.model(model.uri)
+        assert manager2.model(model.uri).frozen
+
+
+class TestModelReferences:
+    """Instance documents refer to published versions and inline only
+    models an instance diverged to."""
+
+    def _durable_runtime(self, tmp_path, count=12):
+        environment, bus, log, manager = build_runtime(shard_count=4)
+        config = PersistenceConfig(str(tmp_path), backend="file", fsync="never")
+        coordinator = PersistenceCoordinator(
+            manager, log, config.open_journal(), config.open_snapshots(),
+            config.open_store(), bus=bus)
+        model = bench_model()
+        manager.publish_model(model, actor="coordinator")
+        ids = drive_workload(environment, manager, model, count=count)
+        return config, coordinator, manager, log, bus, model, ids
+
+    def _recover(self, config):
+        environment, bus, log, manager = build_runtime(shard_count=4)
+        report = recover_into(manager, log, config.open_journal(),
+                              config.open_snapshots(), config.open_store())
+        return report, manager, log
+
+    def test_diverged_model_is_inlined_and_round_trips_byte_for_byte(self, tmp_path):
+        config, coordinator, manager, log, bus, model, ids = \
+            self._durable_runtime(tmp_path)
+        variant = model.copy()
+        variant.name = "Owner's variant"
+        variant.rename_phase("review", "Peer review")
+        manager.change_instance_model(ids[-1], "alice", variant)
+        live_state = json.loads(json.dumps(manager.instance(ids[-1]).to_state_dict()))
+        coordinator.checkpoint()
+        coordinator.close()
+        store = config.open_store()
+        document = store.get(ids[-1])
+        store.close()
+        assert document["state"]["model"]["name"] == "Owner's variant"
+        assert [p["name"] for p in document["state"]["model"]["phases"]] == \
+            ["Work", "Peer review", "End"]
+
+        report, manager2, log2 = self._recover(config)
+        assert report.warnings == []
+        recovered = manager2.instance(ids[-1])
+        assert not recovered.model.frozen
+        assert recovered.model is not manager2.model(model.uri)
+        recovered_state = recovered.to_state_dict()
+        assert json.dumps(recovered_state["model"]) == json.dumps(live_state["model"])
+        assert recovered_state == live_state == document["state"]
+
+    def test_seed_format_documents_restore_and_converge(self, tmp_path):
+        """Documents that inline the published model (the format before
+        references) restore to the same state and share the version."""
+        config, coordinator, manager, log, bus, model, ids = \
+            self._durable_runtime(tmp_path)
+        coordinator.checkpoint()
+        manager.advance(ids[-1], actor="alice", to_phase_id="review")
+        bus.flush()
+        expected = state_fingerprint(manager, log, model.uri)
+        coordinator.close()
+        store = config.open_store()
+        for document in store.all():
+            document["state"]["model"] = model.to_dict()
+            store.upsert(document)
+        store.close()
+
+        report, manager2, log2 = self._recover(config)
+        assert report.warnings == []
+        assert report.instances_restored == len(ids)
+        assert state_fingerprint(manager2, log2, model.uri) == expected
+        assert {id(i.model) for i in manager2.instances()} == \
+            {id(manager2.model(model.uri))}
+        # The next checkpoint rewrites them as references.
+        document = document_for(manager2.instance(ids[0]), 0)
+        assert document["state"]["model"]["reference"] is True
+
+    def test_missing_referenced_version_is_a_warning_not_a_substitute(self, tmp_path):
+        config, coordinator, manager, log, bus, model, ids = \
+            self._durable_runtime(tmp_path)
+        coordinator.checkpoint()
+        coordinator.close()
+        store = config.open_store()
+        document = store.get(ids[0])
+        document["state"]["model"]["version_number"] = "9.9"
+        store.upsert(document)
+        store.close()
+
+        report, manager2, log2 = self._recover(config)
+        assert manager2.instance_count() == len(ids) - 1
+        assert ids[0] not in {i.instance_id for i in manager2.instances()}
+        assert len(report.warnings) == 1
+        assert ids[0] in report.warnings[0] and "9.9" in report.warnings[0]
 
 
 # ============================================================== service tier

@@ -221,6 +221,38 @@ class TestReadReplica:
         assert replica.service.manager.shard_sizes() == \
             primary.manager.shard_sizes()
 
+    def test_bootstrap_shares_one_model_object_per_version(self, root):
+        config, primary = build_primary(root)
+        model = replication_model()
+        primary.manager.publish_model(model, actor="alice")
+        seed_instances(primary, model, 1000)
+        primary.persistence.checkpoint()
+        replica = ReadReplica(JournalShippingSource(config), shard_count=4)
+        assert replica.bootstrap()["instances_restored"] == 1000
+        manager = replica.service.manager
+        assert len({id(i.model) for i in manager.instances()}) == 1
+        assert manager.instances()[0].model is manager.model(model.uri)
+
+    def test_documents_without_manifest_wait_for_the_model_record(self, root):
+        """A memory-backed primary ships documents but no manifest: their
+        model references resolve once the stream installs the version."""
+        clock = SimulatedClock()
+        config, primary = build_primary(root, backend="memory", clock=clock)
+        model = replication_model()
+        primary.manager.publish_model(model, actor="alice")
+        ids = seed_instances(primary, model, 6)
+        primary.persistence.checkpoint()
+        primary.manager.advance(ids[0], actor="alice", to_phase_id="review")
+        replica = ReadReplica(primary.replication, shard_count=4, clock=clock)
+        assert replica.bootstrap()["instances_restored"] == 0
+        replica.sync()
+        manager = replica.service.manager
+        assert manager.instance_count() == 6
+        assert manager.instance(ids[0]).current_phase_id == "review"
+        assert {id(i.model) for i in manager.instances()} == \
+            {id(manager.model(model.uri))}
+        assert replica.promote()["warnings"] == []
+
     def test_double_bootstrap_rejected(self, root):
         config, primary = build_primary(root)
         replica = ReadReplica(JournalShippingSource(config), shard_count=4)

@@ -7,11 +7,12 @@ from repro.actions.invocation import ActionStatus
 from repro.errors import (
     InstanceNotFoundError,
     LifecycleNotFoundError,
+    ModelError,
     RuntimeStateError,
     ValidationError,
 )
 from repro.events import EventRecorder
-from repro.model import LifecycleBuilder
+from repro.model import ActionCall, LifecycleBuilder, Phase
 from repro.storage import ExecutionLog
 from repro.templates import document_review_lifecycle
 
@@ -61,10 +62,57 @@ class TestDesignTime:
 
 
 class TestInstantiation:
-    def test_instantiate_copies_model(self, manager, eu_model, eu_instance):
-        assert eu_instance.model is not manager.model(eu_model.uri)
-        assert eu_instance.model.uri == eu_model.uri
+    def test_instances_share_the_frozen_published_version(self, manager, eu_model,
+                                                           eu_instance):
+        # One object per published version, shared by the instance.
+        published = manager.model(eu_model.uri)
+        assert eu_instance.model is published is eu_model
+        assert published.frozen
         assert eu_instance.status.value == "created"
+        phases_before = [phase.to_dict() for phase in eu_instance.model.phases]
+        transitions_before = eu_instance.model.transitions
+
+        # The published version cannot be edited, not even through the
+        # reference the caller published.
+        phase = eu_model.phase("elaboration")
+        mutations = [
+            lambda: eu_model.add_phase(Phase("extra")),
+            lambda: published.remove_phase("eureview"),
+            lambda: eu_model.rename_phase("elaboration", "Drafting"),
+            lambda: eu_model.add_transition("elaboration", "closed"),
+            lambda: eu_model.remove_transition("elaboration", "internalreview"),
+            lambda: phase.add_action(ActionCall("urn:gelee:notify")),
+            lambda: setattr(eu_model, "name", "Renamed"),
+            lambda: setattr(eu_model, "version", eu_model.version.bump()),
+            lambda: setattr(phase, "name", "Drafting"),
+            lambda: setattr(phase, "deadline", None),
+        ]
+        for mutate in mutations:
+            with pytest.raises(ModelError):
+                mutate()
+        assert [phase.to_dict() for phase in eu_model.phases] == phases_before
+
+        # Republishing adds version 1.1; the live instance stays on 1.0.
+        successor = eu_model.new_version(created_by="pm")
+        assert not successor.frozen
+        successor.rename_phase("elaboration", "Drafting")
+        successor.add_phase(Phase("extra"))
+        successor.add_transition("elaboration", "extra")
+        successor.add_transition("extra", "internalreview")
+        manager.publish_model(successor, actor="pm")
+        assert eu_instance.model is manager.model(eu_model.uri, version="1.0")
+        assert eu_instance.model_version == "1.0"
+        assert [phase.to_dict() for phase in eu_instance.model.phases] == phases_before
+        assert eu_instance.model.transitions == transitions_before
+
+        # An owner's model change gives the instance its own, editable copy.
+        manager.change_instance_model(eu_instance.instance_id, "alice", successor)
+        assert eu_instance.model_version == "1.1"
+        assert eu_instance.model.phase("elaboration").name == "Drafting"
+        catalog = [manager.model(eu_model.uri, version=version)
+                   for version in manager.model_versions(eu_model.uri)]
+        assert all(eu_instance.model is not version for version in catalog)
+        assert not eu_instance.model.frozen
 
     def test_instantiate_requires_existing_resource(self, manager, eu_model):
         from repro.resources import ResourceDescriptor
