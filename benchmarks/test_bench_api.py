@@ -1,13 +1,13 @@
 """E13 — the v2 API gateway: bulk progression and paginated listings.
 
-The PR 1 kernel progresses ~7k ops/s across 16 shards, but the v0 service
+The kernel progresses thousands of ops/s, but the v0 service
 dialect could only reach it one request at a time: progressing 10k instances
 meant 10k sequential REST calls, each paying the full (simulated) action
 round-trip before the next could start.  The v2 gateway closes that gap:
 
 * ``POST /v2/instances:batchAdvance`` carries all 10k moves in one request
-  and fans them out across the shards (one worker per shard), overlapping
-  the action waits exactly like the kernel benchmark does;
+  and applies them in one kernel drain, overlapping the action waits on
+  the completion pool;
 * ``GET /v2/instances?owner=...`` answers one keyset page straight from the
   owner index, where the v1 listing serialised every instance in the system
   on every call.
@@ -23,13 +23,12 @@ from repro.clock import SimulatedClock
 from repro.events import BatchingEventBus
 from repro.model import LifecycleBuilder
 from repro.plugins import build_standard_environment
-from repro.runtime import ShardedLifecycleManager
+from repro.runtime import LifecycleManager
 from repro.service import GeleeService, RestRouter
 
 from .conftest import report
 
 INSTANCES = 10_000
-SHARDS = 16
 OWNERS = 100
 PAGE_SIZE = 100
 #: Simulated action round-trip, uniform seconds (reproducible: seeded rng).
@@ -51,11 +50,11 @@ def _bench_model():
 
 
 def _deploy():
-    """A 16-shard hosted deployment with simulated action latency."""
+    """A hosted deployment with simulated action latency."""
     clock = SimulatedClock()
     environment = build_standard_environment(clock=clock)
-    manager = ShardedLifecycleManager(
-        environment, shard_count=SHARDS, clock=clock,
+    manager = LifecycleManager(
+        environment, clock=clock,
         bus=BatchingEventBus(max_batch=256),
         simulated_action_latency=ACTION_LATENCY)
     service = GeleeService(manager=manager, clock=clock)
@@ -115,8 +114,8 @@ def test_bench_batch_advance_vs_v1_loop():
     report(
         "E13 — v2 bulk progression vs the per-call v1 loop",
         [
-            "workload: {} instances, {} shards, action latency {:.2f}-{:.2f} ms".format(
-                INSTANCES, SHARDS, ACTION_LATENCY[0] * 1000, ACTION_LATENCY[1] * 1000),
+            "workload: {} instances, action latency {:.2f}-{:.2f} ms".format(
+                INSTANCES, ACTION_LATENCY[0] * 1000, ACTION_LATENCY[1] * 1000),
             "v1 per-call loop   : {:7.2f}s  {:8.0f} ops/s  (baseline)".format(
                 v1_elapsed, v1_ops),
             "v2 batchAdvance    : {:7.2f}s  {:8.0f} ops/s  ({:4.2f}x)".format(
@@ -127,7 +126,6 @@ def test_bench_batch_advance_vs_v1_loop():
         data={
             "experiment": "batch_advance_vs_v1_loop",
             "instances": INSTANCES,
-            "shards": SHARDS,
             "action_latency_seconds": list(ACTION_LATENCY),
             "v1_loop": {"elapsed_s": round(v1_elapsed, 4),
                         "ops_per_s": round(v1_ops, 1)},

@@ -43,7 +43,6 @@ INSTANCES = int(os.environ.get("BENCH_COORDINATION_INSTANCES", 200))
 #: Deliberately tiny so the wall-clock failover window stays benchable;
 #: production TTLs are an order of magnitude larger.
 TTL_SECONDS = float(os.environ.get("BENCH_COORDINATION_TTL", 0.4))
-SHARDS = 4
 
 
 def _bench_model():
@@ -67,7 +66,7 @@ def _seed(service, model, count):
     ids = [instance.instance_id
            for instance in service.manager.batch_instantiate(requests)]
     service.manager.map_instances(
-        ids, lambda shard, iid: shard.start(iid, actor="alice"))
+        ids, lambda kernel, iid: kernel.start(iid, actor="alice"))
     return ids
 
 
@@ -99,7 +98,7 @@ def test_bench_coordination_leases_and_failover():
     rows = []
     data = {"experiment": "coordination", "ops": OPS,
             "instances": INSTANCES, "ttl_seconds": TTL_SECONDS,
-            "shards": SHARDS, "lease_ops": {}, "failover": {}}
+            "lease_ops": {}, "failover": {}}
     try:
         # -- lease store throughput: renew (heartbeat) and token read
         #    (per-write fencing) on both backends ------------------------
@@ -113,7 +112,7 @@ def test_bench_coordination_leases_and_failover():
         store = MemoryLeaseStore()
         config = PersistenceConfig(os.path.join(root, "primary"),
                                    backend="file", fsync="never")
-        primary = GeleeService(shard_count=SHARDS, persistence=config,
+        primary = GeleeService(persistence=config,
                                coordination=CoordinationConfig(
                                    store=store, node_id="primary-node",
                                    ttl_seconds=TTL_SECONDS,
@@ -123,8 +122,7 @@ def test_bench_coordination_leases_and_failover():
         _seed(primary, model, INSTANCES)
         journal_head = primary.persistence.journal.last_seq
 
-        replica = ReadReplica(JournalShippingSource(config),
-                              shard_count=SHARDS, replica_id="standby-node")
+        replica = ReadReplica(JournalShippingSource(config), replica_id="standby-node")
         replica.sync()
         alive = {"up": True}
         monitor = HealthMonitor(lambda: alive["up"], failure_threshold=2,

@@ -1,15 +1,15 @@
 """E17 — completion-based dispatch: batch advance throughput and replica lag.
 
 The dispatch refactor (docs/DISPATCH.md) split action execution into
-*submit* (under the shard lock, instantaneous) and *complete* (a callback
+*submit* (under the kernel lock, instantaneous) and *complete* (a callback
 that re-acquires the lock only to apply the outcome), with the simulated
 web-service round-trip sleeping on a worker pool in between.  Two figures
 decide whether that bought anything:
 
 * **batch advance throughput** — the same ``batchAdvance`` workload on two
   services that differ only in the completion executor.  Inline dispatch
-  serialises every round-trip under its shard's lock (a shard's batch takes
-  ``instances_per_shard x latency``); pooled dispatch overlaps all of them
+  serialises every round-trip under the kernel lock (the batch takes
+  ``instances x latency``); pooled dispatch overlaps all of them
   (the whole batch takes roughly ``instances / pool_size x latency`` plus
   the CPU cost).  At full size the pooled service must win by >= 5x.
 * **replica apply lag** — a follower that polls ``sync()`` on a timer sees
@@ -40,7 +40,6 @@ from .conftest import report
 
 INSTANCES = int(os.environ.get("BENCH_DISPATCH_INSTANCES", 10_000))
 WRITES = int(os.environ.get("BENCH_DISPATCH_WRITES", 10))
-SHARDS = 16
 #: Simulated action round-trip (seconds); the paper's actions are web-service
 #: calls, so tens of milliseconds is the realistic regime.
 ACTION_LATENCY = (0.02, 0.03)
@@ -66,14 +65,13 @@ def _bench_model():
 
 
 def _build_service(completion_workers):
-    service = GeleeService(shard_count=SHARDS, clock=SimulatedClock(),
+    service = GeleeService(clock=SimulatedClock(),
                            completion_workers=completion_workers)
     model = _bench_model()
     service.manager.publish_model(model, actor="coordinator")
-    # Reach into the shards to set the simulated latency: the bench varies
+    # Reach into the kernel to set the simulated latency: the bench varies
     # only the executor, so both services must sleep identically per action.
-    for shard in service.manager.shards:
-        shard._dispatcher._latency = ACTION_LATENCY  # noqa: SLF001 - bench knob
+    service.manager._dispatcher._latency = ACTION_LATENCY  # noqa: SLF001 - bench knob
     return service, model
 
 
@@ -90,7 +88,7 @@ def _populate_and_start(service, model, count):
            for instance in service.manager.batch_instantiate(requests)]
     # Work has no actions, so starting is pure token mechanics.
     service.manager.map_instances(
-        ids, lambda shard, iid: shard.start_async(iid, actor="alice"))
+        ids, lambda kernel, iid: kernel.start_async(iid, actor="alice"))
     service.manager.drain_in_flight(timeout=60.0)
     return ids
 
@@ -119,10 +117,10 @@ def test_bench_batch_advance_sync_vs_completion():
     assert inline_mode == "inline" and pooled_mode == "pooled"
     speedup = pooled_ops / inline_ops
     rows = [
-        "workload: batchAdvance over {} instances, {} shards, "
+        "workload: batchAdvance over {} instances, "
         "action latency {:.0f}-{:.0f} ms".format(
-            INSTANCES, SHARDS, ACTION_LATENCY[0] * 1000, ACTION_LATENCY[1] * 1000),
-        "inline dispatch (round-trip under shard lock): {:7.2f}s  {:7.0f} ops/s".format(
+            INSTANCES, ACTION_LATENCY[0] * 1000, ACTION_LATENCY[1] * 1000),
+        "inline dispatch (round-trip under kernel lock): {:7.2f}s  {:7.0f} ops/s".format(
             inline_elapsed, inline_ops),
         "pooled dispatch ({} completion workers)      : {:7.2f}s  {:7.0f} ops/s".format(
             COMPLETION_WORKERS, pooled_elapsed, pooled_ops),
@@ -136,7 +134,6 @@ def test_bench_batch_advance_sync_vs_completion():
         data={
             "experiment": "batch_advance_sync_vs_completion",
             "instances": INSTANCES,
-            "shards": SHARDS,
             "action_latency_seconds": list(ACTION_LATENCY),
             "completion_workers": COMPLETION_WORKERS,
             "inline": {"elapsed_s": round(inline_elapsed, 4),
@@ -179,7 +176,7 @@ def test_bench_replica_lag_push_vs_poll():
     try:
         config = PersistenceConfig(os.path.join(root, "primary"),
                                    backend="file", fsync="never")
-        service = GeleeService(shard_count=4, clock=SimulatedClock(),
+        service = GeleeService(clock=SimulatedClock(),
                                persistence=config)
         primary = ReplicationPrimary(service)
         model = _bench_model()
@@ -187,8 +184,7 @@ def test_bench_replica_lag_push_vs_poll():
 
         # Poll-driven follower: sync() on a POLL_INTERVAL timer, the
         # pre-push design.
-        poll_replica = ReadReplica(primary, shard_count=4,
-                                   clock=SimulatedClock())
+        poll_replica = ReadReplica(primary, clock=SimulatedClock())
         poll_replica.sync()
         stop_polling = threading.Event()
 
@@ -207,8 +203,7 @@ def test_bench_replica_lag_push_vs_poll():
         poller.join(timeout=5.0)
 
         # Push follower: parked in wait_for, woken by the journal append.
-        push_replica = ReadReplica(primary, shard_count=4,
-                                   clock=SimulatedClock())
+        push_replica = ReadReplica(primary, clock=SimulatedClock())
         push_replica.sync()
         follower = StreamFollower(push_replica, wait_timeout=2.0).start()
         try:

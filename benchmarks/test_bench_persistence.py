@@ -1,6 +1,6 @@
 """E14 — durable runtime: journal overhead, checkpoint and cold recovery.
 
-The sharded runtime now journals every kernel event through
+The runtime journals every kernel event through
 :class:`~repro.persistence.PersistenceCoordinator`.  This experiment
 quantifies what durability costs and what recovery buys:
 
@@ -11,7 +11,7 @@ quantifies what durability costs and what recovery buys:
 * **checkpoint latency** — flushing 10k dirty instances into the file and
   SQLite stores plus the atomic manifest publish;
 * **cold-recovery time** — rebuilding all 10k instances (snapshot + journal
-  tail) into a fresh sharded manager, per backend.
+  tail) into a fresh manager, per backend.
 
 Results are printed and appended to ``BENCH_persistence.json``.
 """
@@ -27,13 +27,12 @@ from repro.events import BatchingEventBus
 from repro.model import LifecycleBuilder
 from repro.persistence import PersistenceConfig, PersistenceCoordinator, recover_into
 from repro.plugins import build_standard_environment
-from repro.runtime import ShardedLifecycleManager
+from repro.runtime import LifecycleManager
 from repro.storage import ExecutionLog
 
 from .conftest import report
 
 INSTANCES = 10_000
-SHARDS = 16
 
 
 def _bench_model():
@@ -52,8 +51,7 @@ def _build_runtime():
     environment = build_standard_environment(clock=clock)
     bus = BatchingEventBus(max_batch=256)
     log = ExecutionLog(bus=bus)
-    manager = ShardedLifecycleManager(environment, shard_count=SHARDS,
-                                      clock=clock, bus=bus, rng_seed=0)
+    manager = LifecycleManager(environment, clock=clock, bus=bus)
     return environment, bus, log, manager
 
 
@@ -70,9 +68,9 @@ def _run_workload(environment, manager):
     ]
     started = time.perf_counter()
     ids = [instance.instance_id for instance in manager.batch_instantiate(requests)]
-    manager.map_instances(ids, lambda shard, iid: shard.start(iid, actor="alice"))
+    manager.map_instances(ids, lambda kernel, iid: kernel.start(iid, actor="alice"))
     manager.map_instances(ids[: INSTANCES // 2],
-                          lambda shard, iid: shard.advance(iid, actor="alice",
+                          lambda kernel, iid: kernel.advance(iid, actor="alice",
                                                            to_phase_id="review"))
     elapsed = time.perf_counter() - started
     ops = INSTANCES * 2 + INSTANCES // 2
@@ -83,7 +81,7 @@ def test_bench_persistence_overhead_checkpoint_recovery():
     root = tempfile.mkdtemp(prefix="bench-persistence-")
     rows = []
     data = {"experiment": "durable_runtime", "instances": INSTANCES,
-            "shards": SHARDS, "journal": {}, "checkpoint": {}, "recovery": {}}
+            "journal": {}, "checkpoint": {}, "recovery": {}}
     try:
         # -- baseline: no persistence at all --------------------------------
         environment, bus, log, manager = _build_runtime()

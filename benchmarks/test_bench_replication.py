@@ -32,7 +32,6 @@ from repro.service import GeleeService
 from .conftest import report
 
 INSTANCES = int(os.environ.get("BENCH_REPLICATION_INSTANCES", 10_000))
-SHARDS = 16
 
 
 def _bench_model():
@@ -57,10 +56,10 @@ def _drive_wave(service, model, count, offset=0):
     ids = [instance.instance_id
            for instance in service.manager.batch_instantiate(requests)]
     service.manager.map_instances(
-        ids, lambda shard, iid: shard.start(iid, actor="alice"))
+        ids, lambda kernel, iid: kernel.start(iid, actor="alice"))
     service.manager.map_instances(
         ids[: count // 2],
-        lambda shard, iid: shard.advance(iid, actor="alice",
+        lambda kernel, iid: kernel.advance(iid, actor="alice",
                                          to_phase_id="review"))
     return ids
 
@@ -69,12 +68,12 @@ def test_bench_replication_apply_and_promotion():
     root = tempfile.mkdtemp(prefix="bench-replication-")
     rows = []
     data = {"experiment": "replication", "instances": INSTANCES,
-            "shards": SHARDS, "apply": {}, "incremental": {}, "promotion": {}}
+            "apply": {}, "incremental": {}, "promotion": {}}
     try:
         clock = SimulatedClock()
         config = PersistenceConfig(os.path.join(root, "primary"),
                                    backend="file", fsync="never")
-        primary = GeleeService(shard_count=SHARDS, clock=clock,
+        primary = GeleeService(clock=clock,
                                persistence=config)
         ReplicationPrimary(primary)
         model = _bench_model()
@@ -83,8 +82,7 @@ def test_bench_replication_apply_and_promotion():
         head = primary.persistence.journal.last_seq
 
         # -- steady-state apply: a fresh replica streams the whole journal --
-        replica = ReadReplica(JournalShippingSource(config),
-                              shard_count=SHARDS, clock=clock)
+        replica = ReadReplica(JournalShippingSource(config), clock=clock)
         started = time.perf_counter()
         sync = replica.sync()
         apply_elapsed = time.perf_counter() - started

@@ -4,7 +4,7 @@ The acceptance scenario of the scheduler subsystem: a 10k-instance
 deployment where every active phase carries a deadline, escalated entirely
 by the scheduler — no cockpit polling.  Four measurements:
 
-* **arming throughput** — creating + starting 10k instances on the sharded
+* **arming throughput** — creating + starting 10k instances on the
   runtime while the scheduler arms one deadline timer per instance off the
   event stream (the overhead the subsystem adds to the hot path);
 * **fire throughput** — all 10k deadlines expire, one tick escalates every
@@ -27,14 +27,13 @@ from repro.clock import SimulatedClock
 from repro.events import BatchingEventBus
 from repro.model import LifecycleBuilder
 from repro.plugins import build_standard_environment
-from repro.runtime import ShardedLifecycleManager
+from repro.runtime import LifecycleManager
 from repro.scheduler import LifecycleScheduler, TimerService
 from repro.storage import ExecutionLog
 
 from .conftest import report
 
 INSTANCES = int(os.environ.get("BENCH_SCHEDULER_INSTANCES", "10000"))
-SHARDS = 16
 DEADLINE_DAYS = 2.0
 
 
@@ -53,8 +52,7 @@ def _build_runtime():
     environment = build_standard_environment(clock=clock)
     bus = BatchingEventBus(max_batch=256, clock=clock)
     log = ExecutionLog(bus=bus, max_entries=200_000)
-    manager = ShardedLifecycleManager(environment, shard_count=SHARDS,
-                                      clock=clock, bus=bus, rng_seed=0)
+    manager = LifecycleManager(environment, clock=clock, bus=bus)
     scheduler = LifecycleScheduler(manager, bus=bus)
     return clock, environment, bus, log, manager, scheduler
 
@@ -74,7 +72,7 @@ def test_scheduler_throughput_and_drift():
     ]
     started = time.perf_counter()
     ids = [instance.instance_id for instance in manager.batch_instantiate(requests)]
-    manager.map_instances(ids, lambda shard, iid: shard.start(iid, actor="alice"))
+    manager.map_instances(ids, lambda kernel, iid: kernel.start(iid, actor="alice"))
     bus.flush()
     arm_elapsed = time.perf_counter() - started
     armed = scheduler.timers.pending_count
@@ -123,7 +121,7 @@ def test_scheduler_throughput_and_drift():
     fire_rate = INSTANCES / fire_elapsed
     raw_rate = (2 * count) / raw_elapsed
     report(
-        "E15 — scheduler: {} instances, {} shards".format(INSTANCES, SHARDS),
+        "E15 — scheduler: {} instances".format(INSTANCES),
         [
             "arming (create+start+timer): {:.2f}s  ({:,.0f} inst/s)".format(
                 arm_elapsed, arm_rate),
@@ -136,7 +134,6 @@ def test_scheduler_throughput_and_drift():
         slug="scheduler",
         data={
             "instances": INSTANCES,
-            "shards": SHARDS,
             "arm_seconds": round(arm_elapsed, 3),
             "arm_rate_per_s": round(arm_rate, 1),
             "fire_seconds": round(fire_elapsed, 3),

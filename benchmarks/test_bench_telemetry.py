@@ -2,7 +2,7 @@
 
 PR 8 threads a metrics registry through dispatch (wait/execution
 histograms, completion counter, the gateway, the trace scope); PR 9 adds
-span recording on the same path (shard hops, dispatch, journal).  Both
+span recording on the same path (kernel write path, dispatch, journal).  Both
 instruments take a lock per update, so the question is whether the hot
 path got measurably slower.  The harness runs the same zero-latency
 ``batchAdvance`` workload three times per trial — instruments fully
@@ -69,7 +69,6 @@ MAX_OVERHEAD_PCT = float(os.environ.get("BENCH_TELEMETRY_MAX_OVERHEAD_PCT", 3.0)
 MAX_HISTORY_EXTRA_PCT = float(
     os.environ.get("BENCH_TELEMETRY_MAX_HISTORY_EXTRA_PCT", 1.0))
 MAX_TOTAL_PCT = float(os.environ.get("BENCH_TELEMETRY_MAX_TOTAL_PCT", 4.0))
-SHARDS = 8
 
 
 def _bench_model():
@@ -104,12 +103,10 @@ def _run_trial(registry_enabled, spans_enabled, recorder_enabled=False):
                                               max_spans_per_trace=10 ** 9))
     previous_ring = set_log_ring(LogRing()) if recorder_enabled else None
     try:
-        service = GeleeService(shard_count=SHARDS, clock=SimulatedClock())
+        service = GeleeService(clock=SimulatedClock())
         try:
             model = _bench_model()
             service.manager.publish_model(model, actor="coordinator")
-            for shard in service.manager.shards:
-                shard._dispatcher._latency = (0.0, 0.0)  # noqa: SLF001 - bench knob
             adapter = service.environment.adapter("Google Doc")
             requests = [
                 {"model_uri": model.uri,
@@ -121,7 +118,7 @@ def _run_trial(registry_enabled, spans_enabled, recorder_enabled=False):
             ids = [instance.instance_id
                    for instance in service.manager.batch_instantiate(requests)]
             service.manager.map_instances(
-                ids, lambda shard, iid: shard.start_async(iid, actor="alice"))
+                ids, lambda kernel, iid: kernel.start_async(iid, actor="alice"))
             service.manager.drain_in_flight(timeout=60.0)
             items = [AdvanceItem(instance_id=iid, to_phase_id="review")
                      for iid in ids]
@@ -248,7 +245,6 @@ def test_bench_telemetry_overhead():
         data={
             "instances": INSTANCES,
             "trials": TRIALS,
-            "shards": SHARDS,
             "ops_per_s_disabled": best_baseline,
             "ops_per_s_enabled": best_registry,
             "ops_per_s_spans": best_spans,

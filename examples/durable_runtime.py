@@ -7,8 +7,8 @@ one persistence directory, every call going through
 :class:`repro.client.GeleeClient` against the versioned v2 gateway (the
 legacy v1 routes are deprecated and no example uses them any more):
 
-1. **First life** — a sharded, durable router
-   (``RestRouter(shard_count=4, persistence=...)``) serves a client that
+1. **First life** — a durable router
+   (``RestRouter(persistence=...)``) serves a client that
    publishes a model, creates deliverables, progresses some of them, takes
    a checkpoint over the wire (``client.persistence_checkpoint()``), then
    keeps working so the write-ahead journal has a tail beyond the snapshot.
@@ -32,7 +32,7 @@ from repro.service import RestRouter
 
 
 def first_life(config: PersistenceConfig) -> list:
-    router = RestRouter(shard_count=4, persistence=config)
+    router = RestRouter(persistence=config)
     client = GeleeClient.in_process(router=router, actor="alice")
     model = client.publish_template("eu-deliverable")
     adapter = router.service.environment.adapter("Google Doc")
@@ -66,7 +66,7 @@ def first_life(config: PersistenceConfig) -> list:
 
 
 def second_life(config: PersistenceConfig, instance_ids: list) -> None:
-    router = RestRouter(shard_count=4, persistence=config)
+    router = RestRouter(persistence=config)
     client = GeleeClient.in_process(router=router, actor="alice")
     recovery = client.persistence_status()["recovery"]
     print("Recovered: {} instances from the snapshot, {} journal records replayed".format(

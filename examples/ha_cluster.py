@@ -74,7 +74,7 @@ def main() -> None:
         # work through the shared worker pool, so the scrape below also
         # carries the pool's queue-depth distribution.
         primary = GeleeService(
-            shard_count=4, persistence=config, completion_workers=2,
+            persistence=config, completion_workers=2,
             coordination=CoordinationConfig(store=lease_store,
                                             node_id="primary-node",
                                             ttl_seconds=LEASE_TTL,
@@ -99,7 +99,7 @@ def main() -> None:
             seed.start(instance_id)
 
         # -- the standby: stream + supervise --------------------------------
-        replica = ReadReplica(JournalShippingSource(config), shard_count=4,
+        replica = ReadReplica(JournalShippingSource(config),
                               clock=primary.manager.clock,
                               replica_id="standby-node")
         sync = replica.sync()

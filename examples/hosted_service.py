@@ -36,7 +36,7 @@ from repro.widgets import DesignerSession
 
 
 def main() -> None:
-    service = GeleeService(shard_count=4)
+    service = GeleeService()
     router = RestRouter(service)
 
     with GeleeHttpServer(router) as server:
@@ -112,8 +112,8 @@ def main() -> None:
         print("widget for coordinator — phases:", len(widget["phases"]))
 
         stats = coordinator.runtime_stats()
-        print("runtime: {} instances across {} shards; {} API requests".format(
-            stats["instances"], stats["shard_count"], stats["api"]["requests"]))
+        print("runtime: {} instances, {} dispatch; {} API requests".format(
+            stats["instances"], stats["dispatch"]["mode"], stats["api"]["requests"]))
 
     # --- the same kernel through SOAP --------------------------------------------
     soap = SoapEndpoint(service)

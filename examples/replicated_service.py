@@ -29,9 +29,9 @@ from repro.service import RestRouter
 def main() -> None:
     directory = tempfile.mkdtemp(prefix="gelee-replicated-")
     try:
-        # -- the primary: durable, sharded, streaming its journal -----------
+        # -- the primary: durable, streaming its journal --------------------
         config = PersistenceConfig(directory, backend="sqlite", fsync="interval")
-        primary_router = RestRouter(shard_count=4, persistence=config)
+        primary_router = RestRouter(persistence=config)
         primary = primary_router.service
         ReplicationPrimary(primary)
         print("Primary persistence directory:", directory)
@@ -50,7 +50,7 @@ def main() -> None:
             seed.start(instance_id)
 
         # -- the warm standby: bootstrap + stream ---------------------------
-        replica = ReadReplica(JournalShippingSource(config), shard_count=4,
+        replica = ReadReplica(JournalShippingSource(config),
                               clock=primary.manager.clock,
                               primary_hint="gelee-primary:8080")
         sync = replica.sync()

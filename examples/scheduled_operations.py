@@ -74,7 +74,7 @@ def register_flaky_notify(service, fail_times=2):
 def main() -> None:
     clock = SimulatedClock()
     service = GeleeService(
-        clock=clock, shard_count=4,
+        clock=clock,
         scheduler=SchedulerConfig(
             retry_initial_delay_seconds=3600,      # first retry after an hour
             retry_backoff_factor=2.0,

@@ -41,8 +41,7 @@ from .model import (
 from .actions import ActionRegistry, ActionType, ActionImplementation
 from .resources import Credentials, ResourceDescriptor, ResourceManager
 from .plugins import StandardEnvironment, build_standard_environment
-from .runtime import (InstanceStatus, LifecycleInstance, LifecycleManager,
-                      ShardedLifecycleManager)
+from .runtime import InstanceStatus, LifecycleInstance, LifecycleManager
 from .accesscontrol import AccessPolicy, Role, User, UserDirectory
 from .storage import ExecutionLog, FileRepository, InMemoryRepository, TemplateStore
 from .monitoring import MonitoringCockpit, collect_alerts
@@ -86,7 +85,6 @@ __all__ = [
     "InstanceStatus",
     "LifecycleInstance",
     "LifecycleManager",
-    "ShardedLifecycleManager",
     "AccessPolicy",
     "Role",
     "User",

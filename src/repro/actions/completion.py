@@ -15,12 +15,12 @@ executors below.  Where that task runs decides the concurrency model:
 * :class:`PooledCompletionExecutor` runs it on a shared
   :class:`~repro.workers.WorkerPool`.  Submit returns immediately and —
   crucially — the simulated latency is slept on a pool worker, *outside*
-  any shard lock, so one slow web service no longer stalls its whole
-  shard.  The completion callback re-acquires the owning shard lock only
-  for the brief moment it takes to apply the outcome.
+  the kernel lock, so one slow web service no longer stalls the whole
+  kernel.  The completion callback re-acquires the kernel lock only for
+  the brief moment it takes to apply the outcome.
 
 Executors never interpret the task; sequencing, locking and event
-publication live in the dispatcher and the managers.  A task must run in
+publication live in the dispatcher and the manager.  A task must run in
 the submitter's :mod:`contextvars` context — inline trivially, pooled
 because :class:`~repro.workers.WorkerPool` copies it at submit — so the
 terminal ``action.*`` events keep the request's ``origin_request_id``
@@ -66,11 +66,10 @@ class InlineCompletionExecutor(CompletionExecutor):
 class PooledCompletionExecutor(CompletionExecutor):
     """Run completion tasks on a persistent worker pool.
 
-    The pool is typically shared with the sharded runtime's bulk fan-out
-    (see :class:`~repro.runtime.sharding.ShardedLifecycleManager`); the
-    sharing is safe because fan-out drain tasks never wait on completion
-    tasks — a queued completion only needs a shard lock, and every shard
-    lock holder eventually releases it without touching the pool.
+    The manager builds one for ``completion_workers > 0`` (see
+    :class:`~repro.runtime.manager.LifecycleManager`).  A queued completion
+    only needs the kernel lock, and every lock holder releases it without
+    waiting on the pool, so completions always make progress.
     """
 
     mode = "pooled"

@@ -283,7 +283,7 @@ class InvocationDispatcher:
                on_complete: CompletionHandler = None) -> PendingInvocation:
         """Phase one: mark RUNNING and hand the round-trip to the executor.
 
-        The caller may hold its shard lock here — submit never sleeps.  The
+        The caller may hold the kernel lock here — submit never sleeps.  The
         completion task (latency wait + implementation call) runs wherever
         the completion executor puts it; its outcome is delivered to
         ``on_complete`` (default: apply directly via :meth:`complete`),
@@ -300,8 +300,8 @@ class InvocationDispatcher:
                 with span_scope("dispatch.wait",
                                 latency_seconds=pending.latency):
                     if pending.latency > 0.0:
-                        # Slept on the executor's thread, *outside* any
-                        # shard lock.
+                        # Slept on the executor's thread, *outside* the
+                        # kernel lock.
                         time.sleep(pending.latency)
                 invocation.started_at = self._clock.now()
                 result: Optional[Dict[str, Any]] = None

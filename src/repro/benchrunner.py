@@ -9,7 +9,7 @@ files next to the benchmarks.
 Usage::
 
     python -m repro.benchrunner                 # full suite
-    python -m repro.benchrunner sharding        # only test_bench_sharding.py
+    python -m repro.benchrunner persistence     # only test_bench_persistence.py
     python -m repro.benchrunner --list          # enumerate available benchmarks
     python -m repro.benchrunner -- -k widget    # extra pytest args after --
 

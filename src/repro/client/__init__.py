@@ -4,7 +4,7 @@ Typed Python access to the v2 API, in-process or over HTTP::
 
     from repro.client import GeleeClient
 
-    client = GeleeClient.in_process(shard_count=16, actor="alice")
+    client = GeleeClient.in_process(actor="alice")
     client = GeleeClient.connect("127.0.0.1", 8080, actor="alice")
 """
 

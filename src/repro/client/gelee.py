@@ -6,7 +6,7 @@ service **in-process** (straight against a :class:`~repro.service.rest.RestRoute
 :class:`~repro.service.http.GeleeHttpServer` transport).  Both paths speak
 the v2 envelope, so the client sees identical behaviour either way::
 
-    client = GeleeClient.in_process(shard_count=16, actor="alice")
+    client = GeleeClient.in_process(actor="alice")
     # ... or ...
     client = GeleeClient.connect(host, port, actor="alice")
 
@@ -147,7 +147,7 @@ class GeleeClient:
     # -------------------------------------------------------------- factories
     @classmethod
     def in_process(cls, router=None, service=None, actor: str = None,
-                   shard_count: int = None, read_router=None) -> "GeleeClient":
+                   read_router=None) -> "GeleeClient":
         """A client over an in-process router (built here if not given).
 
         ``read_router`` (e.g. ``ReadReplica(...).router()``) enables the
@@ -156,7 +156,7 @@ class GeleeClient:
         from ..service.rest import RestRouter
 
         if router is None:
-            router = RestRouter(service=service, shard_count=shard_count)
+            router = RestRouter(service=service)
         return cls(InProcessTransport(router), actor=actor,
                    read_transport=InProcessTransport(read_router)
                    if read_router is not None else None)

@@ -20,7 +20,7 @@ election-aware :class:`~repro.scheduler.SchedulerDaemon` calls
 :meth:`Coordinator.heartbeat` on its poll cadence (simulated-clock tests
 call it directly).  Fencing rejections observed on the journal path demote
 lazily on the next heartbeat — never on the publisher's thread, which may
-hold shard locks.
+hold the kernel lock.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ class Coordinator:
         self._demotions = 0
         self._demoted = False
         #: Set (cheaply, from any thread) when the journal fence rejected an
-        #: append; the next heartbeat demotes.  Demotion takes every shard
+        #: append; the next heartbeat demotes.  Demotion takes the kernel
         #: lock, so it must never run on a bus handler's thread.
         self._fence_tripped = threading.Event()
         self.elector = LeaderElector(
@@ -240,8 +240,8 @@ class Coordinator:
             self._demote()
 
     def _on_journal_fenced(self, exc: StaleFencingTokenError) -> None:
-        # Runs on the publishing thread (possibly inside a shard's locked
-        # flush) — only flag; heartbeat() does the heavy demotion.
+        # Runs on the publishing thread (possibly inside the kernel lock)
+        # — only flag; heartbeat() does the heavy demotion.
         self._fence_tripped.set()
 
     def _demote(self) -> None:

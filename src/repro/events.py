@@ -9,8 +9,8 @@ and the execution log, the monitoring cockpit and the widgets subscribe.
 Events are plain, immutable records.  Two bus flavours are provided:
 
 * :class:`EventBus` — synchronous, in-process delivery; every ``publish``
-  dispatches immediately.  Thread-safe, so the sharded runtime
-  (:mod:`repro.runtime.sharding`) can publish from concurrent owners.
+  dispatches immediately.  Thread-safe, so concurrent publishers (the
+  kernel, the scheduler, the coordination layer) can share it.
 * :class:`BatchingEventBus` — buffers publishes and flushes them in order
   when a size or time threshold is crossed (the time source is the injected
   :class:`~repro.clock.Clock`).  Coalescing dispatch keeps the hot
@@ -77,9 +77,9 @@ class EventBus:
     collected and re-raised together only if ``strict`` is set.
 
     The subscription table is guarded by a lock and handler lists are copied
-    before dispatch, so concurrent publishers (one per shard of the sharded
-    runtime) never observe a half-updated table.  Handlers themselves run
-    outside the lock and must be thread-safe if the bus is shared by threads.
+    before dispatch, so concurrent publishers never observe a half-updated
+    table.  Handlers themselves run outside the lock and must be thread-safe
+    if the bus is shared by threads.
     """
 
     def __init__(self, strict: bool = False):
@@ -219,7 +219,7 @@ class BatchingEventBus(EventBus):
         """Deliver every buffered event now; returns how many were delivered.
 
         Flushes are serialised: the batch is taken and delivered under one
-        flush lock, so events published by concurrent shards reach the
+        flush lock, so events published by concurrent threads reach the
         subscribers in a single global order.
         """
         with self._flush_lock:

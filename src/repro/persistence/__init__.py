@@ -2,7 +2,7 @@
 
 The Gelee kernel manages long-lived resources — EU project deliverables
 live for months — so runtime state must outlive any single process.  This
-package makes the (sharded) runtime durable and restartable:
+package makes the runtime durable and restartable:
 
 * :mod:`~repro.persistence.journal` — a segmented JSONL write-ahead log of
   every kernel event, with configurable fsync and torn-tail repair;

@@ -220,9 +220,9 @@ class PersistenceCoordinator:
 
         Best effort — enrichment failures must never fail the publishing
         operation.  Instance lookups go through the *lock-free*
-        ``peek_instance``: this handler can run on a shard worker that holds
-        its own shard lock while flushing a batch containing other shards'
-        events, so taking shard locks here would deadlock.
+        ``peek_instance``: on a batching bus this handler can run on a
+        thread flushing the batch while a writer that holds the kernel lock
+        waits for that flush, so taking the kernel lock here would deadlock.
         """
         try:
             if event.kind in ("model.published", "model.updated"):
@@ -288,7 +288,7 @@ class PersistenceCoordinator:
             with self._manager.quiesce():
                 # ...and again *inside* the quiesce: a writer may have slipped
                 # a mutation in (buffering its events) between the flush above
-                # and the lock acquisition.  With every shard lock held no new
+                # and the lock acquisition.  With the kernel lock held no new
                 # event can be published, so after this flush the captured seq
                 # provably covers every mutation the captured documents
                 # contain — otherwise replay would re-apply those events on
@@ -298,10 +298,10 @@ class PersistenceCoordinator:
                 seq = self._journal.last_seq
                 dirty, self._dirty = self._dirty, set()
                 failures, self._journal_failures = self._journal_failures, 0
-                # Only the in-memory *capture* runs under the shard locks;
+                # Only the in-memory *capture* runs under the kernel lock;
                 # documents and manifest are immutable once built, so the
                 # expensive store/manifest I/O happens after release and
-                # mutations on every shard resume meanwhile.
+                # mutations resume meanwhile.
                 documents = []
                 for instance_id in dirty:
                     try:

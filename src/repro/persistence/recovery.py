@@ -1,7 +1,7 @@
 """Crash recovery: rebuild a lifecycle runtime from snapshot + journal.
 
-:func:`recover_into` takes a *freshly built, empty* manager (single or
-sharded — recovery only uses the shared facade) and an empty execution log,
+:func:`recover_into` takes a *freshly built, empty* manager and an empty
+execution log,
 and rebuilds the pre-crash state in three steps:
 
 1. **Snapshot restore.**  The newest manifest provides the design-time
@@ -223,10 +223,7 @@ def recover_into(manager, log, journal: Journal, snapshots: SnapshotStore,
                  store: InstanceStore, timers=None) -> RecoveryReport:
     """Rebuild ``manager`` and ``log`` from the durable state on disk.
 
-    ``manager`` must be empty (fresh environment, no models or instances);
-    pass the same shard count as the crashed deployment so instance ids
-    hash to the same shards — routing is a pure function of the id, so the
-    rebuilt layout matches the original.
+    ``manager`` must be empty (fresh environment, no models or instances).
 
     ``timers`` is an optional, empty
     :class:`~repro.scheduler.timers.TimerService`: the manifest's pending
@@ -345,8 +342,9 @@ def _apply(manager, record: JournalRecord, report: RecoveryReport) -> None:
             report.warnings.append(
                 "record #{}: model event without embedded document".format(record.seq))
             return
-        # The sharded runtime journals one publish per shard; install_model
-        # is idempotent per version, so replaying all of them is safe.
+        # Journals written by the former sharded runtime hold one publish
+        # per shard; install_model is idempotent per version, so replaying
+        # all of them is safe.
         if manager.install_model(LifecycleModel.from_dict(document)):
             report.models_restored += 1
         return

@@ -85,7 +85,7 @@ def capture_manifest(manager, log, journal_seq: int,
     """Build a manifest from a (quiesced) manager and execution log.
 
     The caller is responsible for holding the runtime still (see
-    :meth:`~repro.runtime.sharding.ShardedLifecycleManager.quiesce`) so the
+    :meth:`~repro.runtime.manager.LifecycleManager.quiesce`) so the
     captured models, log and ``journal_seq`` describe one consistent point
     in time.
     """

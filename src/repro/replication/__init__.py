@@ -23,10 +23,10 @@ Typical wiring (see ``docs/REPLICATION.md`` and
 ``examples/replicated_service.py``)::
 
     config = PersistenceConfig("/var/lib/gelee", backend="sqlite")
-    primary = GeleeService(shard_count=16, persistence=config)
+    primary = GeleeService(persistence=config)
     ReplicationPrimary(primary)                      # streaming endpoint
 
-    replica = ReadReplica(JournalShippingSource(config), shard_count=16,
+    replica = ReadReplica(JournalShippingSource(config),
                           primary_hint="https://gelee-primary:8080")
     replica.sync()                                   # bootstrap + catch up
     follower = StreamFollower(replica).start()       # push-driven tailing

@@ -1,7 +1,7 @@
 """Warm standbys and read replicas: continuously apply the primary's stream.
 
 :class:`ReadReplica` owns a complete, *read-only*
-:class:`~repro.service.api.GeleeService` — sharded runtime, execution log,
+:class:`~repro.service.api.GeleeService` — kernel, execution log,
 timer service, monitoring cockpit, v2 routes — and keeps it in sync with a
 primary by pulling the journal stream through the recovery layer's
 side-effect-free :class:`~repro.persistence.recovery.JournalReplayer`:
@@ -43,25 +43,24 @@ from .stream import ReplicationSource
 class ReadReplica:
     """A warm standby serving reads, one :meth:`promote` away from primary."""
 
-    def __init__(self, source: ReplicationSource, shard_count: int = None,
-                 clock=None, environment=None, scheduler=None,
+    def __init__(self, source: ReplicationSource, clock=None,
+                 environment=None, scheduler=None,
                  replica_id: str = None, primary_hint: str = None,
                  batch_limit: int = None):
         """Build the standby runtime and wire it to ``source``.
 
-        ``shard_count`` must match the primary's so instance ids hash to
-        the same shards.  ``primary_hint`` (a URL, host:port or deployment
-        name) is echoed in every 409 a rejected write receives.  The
-        replica is not bootstrapped yet — the first :meth:`sync` (or an
-        explicit :meth:`bootstrap`) does that.
+        ``primary_hint`` (a URL, host:port or deployment name) is echoed in
+        every 409 a rejected write receives.  The replica is not
+        bootstrapped yet — the first :meth:`sync` (or an explicit
+        :meth:`bootstrap`) does that.
         """
         from ..service.api import GeleeService
 
         self._source = source
         self.replica_id = replica_id or new_id("replica")
         self.service = GeleeService(
-            environment=environment, clock=clock, shard_count=shard_count,
-            scheduler=scheduler, read_only=True, primary_hint=primary_hint)
+            environment=environment, clock=clock, scheduler=scheduler,
+            read_only=True, primary_hint=primary_hint)
         self.service.replication = self
         self._replayer = JournalReplayer(
             self.service.manager, self.service.execution_log,

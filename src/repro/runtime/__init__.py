@@ -14,7 +14,6 @@ from .instance import InstanceStatus, LifecycleInstance, PhaseVisit
 from .manager import InstanceIndex, LifecycleManager
 from .propagation import ChangeProposal, PropagationDecision, PropagationService
 from .migration import MigrationPlan, suggest_phase_mapping
-from .sharding import ShardedLifecycleManager, shard_index_for
 
 __all__ = [
     "TaskHandle",
@@ -24,8 +23,6 @@ __all__ = [
     "LifecycleInstance",
     "PhaseVisit",
     "LifecycleManager",
-    "ShardedLifecycleManager",
-    "shard_index_for",
     "ChangeProposal",
     "PropagationDecision",
     "PropagationService",

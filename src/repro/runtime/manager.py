@@ -10,10 +10,24 @@ The manager enforces role-based permissions when an
 :class:`~repro.accesscontrol.policy.AccessPolicy` is supplied, and publishes
 every state change on the event bus so that the execution log, the monitoring
 cockpit and the widgets stay informed.
+
+Concurrency
+-----------
+Gelee is a hosted service: many owners progress their lifecycles at once
+(§IV.C), over the threaded HTTP server, the scheduler and pooled
+operations.  The manager therefore owns one reentrant kernel lock.  Every
+public mutation and every read that walks the instance store, the
+secondary indexes or the model store holds it, so bus subscribers (the
+execution log, the journal) observe transitions in one serial order and
+:meth:`LifecycleManager.quiesce` is a real barrier for checkpoints.  The
+synchronous progression verbs submit under the lock and wait for their
+action completions after releasing it; pooled completions re-acquire the
+same lock to apply their outcome.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import threading
 import time
@@ -21,7 +35,7 @@ from contextlib import contextmanager
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..actions.binding import ActionResolver
-from ..actions.completion import CompletionExecutor
+from ..actions.completion import CompletionExecutor, PooledCompletionExecutor
 from ..actions.invocation import (
     DEFAULT_RNG_SEED,
     ActionInvocation,
@@ -47,9 +61,27 @@ from ..model.lifecycle import LifecycleModel
 from ..model.validation import validate_lifecycle
 from ..plugins.setup import StandardEnvironment
 from ..resources.descriptor import ResourceDescriptor
-from ..telemetry import DEFAULT_LATENCY_BUCKETS, current_trace_id, get_registry
+from ..telemetry import (
+    DEFAULT_LATENCY_BUCKETS,
+    current_trace_id,
+    get_registry,
+    span_scope,
+)
+from ..telemetry.profiling import TimedLock
+from ..workers import WorkerPool
 from .instance import InstanceStatus, LifecycleInstance
 from .propagation import ChangeProposal, PropagationService
+
+
+def _locked(method):
+    """Run ``method`` holding the manager's kernel lock."""
+
+    @functools.wraps(method)
+    def locked(self, *args, **kwargs):
+        with self._lock:
+            return method(self, *args, **kwargs)
+
+    return locked
 
 
 class InstanceIndex:
@@ -131,7 +163,7 @@ class LifecycleManager:
                  rng: random.Random = None,
                  simulated_action_latency: Tuple[float, float] = (0.0, 0.0),
                  completion_executor: CompletionExecutor = None,
-                 completion_lock=None):
+                 completion_workers: int = 0):
         """Create a manager on top of a wired environment.
 
         Args:
@@ -159,10 +191,12 @@ class LifecycleManager:
                 round-trip (see :mod:`repro.actions.completion`).  Default
                 is the inline executor — fully synchronous dispatch, the
                 pre-refactor behaviour.
-            completion_lock: the lock completions re-acquire to apply their
-                outcome.  The sharded runtime passes the owning shard's
-                lock; standalone a private reentrant lock is used so pooled
-                completions still serialise against each other.
+            completion_workers: when > 0 (and no ``completion_executor`` is
+                given) the manager builds a :class:`~repro.workers.WorkerPool`
+                of that many workers and dispatches through a
+                :class:`~repro.actions.completion.PooledCompletionExecutor`
+                on it, so that many action round-trips sleep concurrently
+                outside the kernel lock.  :meth:`close` drains and stops it.
         """
         self._environment = environment
         self._clock = clock or environment.clock or SystemClock()
@@ -171,16 +205,22 @@ class LifecycleManager:
         self._strict_actions = strict_actions
         self._resolver = ActionResolver(environment.registry)
         self._rng = rng or random.Random(DEFAULT_RNG_SEED)
+        # The kernel lock.  TimedLock samples acquisition waits into the
+        # gelee_lock_wait_seconds{site="shard"} histogram; the site keeps
+        # the label dashboards already read.
+        self._lock = TimedLock(threading.RLock(), site="shard")
+        self._worker_pool: Optional[WorkerPool] = None
+        if completion_executor is None and completion_workers > 0:
+            self._worker_pool = WorkerPool(completion_workers, name="gelee-kernel")
+            completion_executor = PooledCompletionExecutor(self._worker_pool)
         self._dispatcher = InvocationDispatcher(
             clock=self._clock, rng=self._rng, callback=self._deliver_callback,
             simulated_latency=simulated_action_latency,
             completion_executor=completion_executor,
         )
-        self._completion_lock = completion_lock if completion_lock is not None \
-            else threading.RLock()
         #: invocation id -> instance id of every submitted, not-yet-applied
-        #: invocation; guarded by the condition below (never by shard locks,
-        #: so drains can wait without blocking completions).
+        #: invocation; guarded by the condition below (never by the kernel
+        #: lock, so drains can wait without blocking completions).
         self._in_flight: Dict[str, str] = {}
         self._in_flight_per_instance: Dict[str, int] = {}
         self._in_flight_cv = threading.Condition()
@@ -226,9 +266,17 @@ class LifecycleManager:
         ``install_instance`` / ``reindex_instance``) stay writable — they
         are exactly how replication applies the primary's stream.
         Promotion flips this back off.
-        """
-        self._read_only = bool(value)
 
+        Flipping *to* read-only also drains in-flight action completions:
+        the flip stops new submissions first, then waits for pending ones to
+        apply, so no primary-era action lands after the barrier.
+        """
+        with self._lock:
+            self._read_only = bool(value)
+        if value:
+            self.drain_in_flight(timeout=self.quiesce_drain_timeout)
+
+    @_locked
     def set_write_guard(self, guard) -> None:
         """Install (or with ``None`` remove) the fencing write guard.
 
@@ -276,24 +324,55 @@ class LifecycleManager:
         """Where submitted action round-trips run (inline by default)."""
         return self._dispatcher.completion_executor
 
+    @property
+    def worker_pool(self) -> Optional[WorkerPool]:
+        """The completion pool built for ``completion_workers`` (None when
+        dispatch is inline, the executor was injected, or after close)."""
+        return self._worker_pool
+
     @contextmanager
     def quiesce(self, drain_timeout: float = None):
-        """Checkpoint hook, mirroring the sharded manager's interface.
+        """Drain in-flight actions, then hold the kernel lock.
 
-        The single manager has no internal locks — it is single-writer by
-        contract, callers serialise access — so after draining in-flight
-        action completions (bounded by ``drain_timeout``, default
-        :attr:`quiesce_drain_timeout`) this yields immediately, keeping
-        ``with manager.quiesce():`` valid on either kernel.  It follows
-        that a checkpoint is only consistent here when no concurrent writer
-        exists; a deployment serving concurrent requests (e.g. the threaded
-        HTTP server) must use :class:`ShardedLifecycleManager`, whose
-        per-shard locks make quiesce a real barrier — ``shard_count=1``
-        gives single-shard semantics *with* locking.
+        Used by the persistence coordinator to capture a consistent
+        point-in-time checkpoint: while the lock is held no mutation runs
+        and no event is published.
+
+        Queued pooled completions also need the lock to apply, so waiting
+        for them while holding it would deadlock.  The loop therefore
+        drains first, acquires, and — if submissions slipped in between —
+        releases and drains again, bounded by ``drain_timeout`` (default
+        :attr:`quiesce_drain_timeout`).  On timeout the checkpoint proceeds
+        with actions still in flight: they are captured in their RUNNING
+        state and deterministically failed on recovery (see
+        :func:`repro.persistence.recovery.fail_interrupted_invocations`).
         """
         timeout = self.quiesce_drain_timeout if drain_timeout is None else drain_timeout
-        self.drain_in_flight(timeout=timeout)
-        yield self
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while True:
+            remaining = None if deadline is None \
+                else max(0.0, deadline - time.monotonic())
+            drained = self.drain_in_flight(timeout=remaining)
+            self._lock.acquire()
+            if not drained or self.in_flight_count() == 0:
+                break
+            self._lock.release()
+        try:
+            yield self
+        finally:
+            self._lock.release()
+
+    def close(self, drain_timeout: float = None) -> None:
+        """Drain pending completions and stop the completion pool.
+
+        Idempotent, and a no-op beyond the drain when no pool was built.
+        """
+        self.drain_in_flight(
+            timeout=self.quiesce_drain_timeout if drain_timeout is None
+            else drain_timeout)
+        pool, self._worker_pool = self._worker_pool, None
+        if pool is not None:
+            pool.close()
 
     # -------------------------------------------------------- in-flight registry
     def in_flight_count(self) -> int:
@@ -309,7 +388,7 @@ class LifecycleManager:
     def drain_in_flight(self, timeout: float = None) -> bool:
         """Wait until no completions are pending; True unless timed out.
 
-        Never call this while holding the completion (shard) lock — pending
+        Never call this while holding the kernel lock — pending
         completions need that lock to apply, so the wait could not end.
         """
         return self._await(lambda: not self._in_flight, timeout)
@@ -334,6 +413,7 @@ class LifecycleManager:
         return True
 
     # ================================================================ design time
+    @_locked
     def publish_model(self, model: LifecycleModel, actor: str = "") -> LifecycleModel:
         """Validate, freeze and store a lifecycle model (new model or new version).
 
@@ -357,6 +437,7 @@ class LifecycleManager:
                       name=model.name, version=model.version.version_number)
         return model
 
+    @_locked
     def model(self, model_uri: str, version: str = None) -> LifecycleModel:
         """Return a stored model (latest version unless ``version`` is given)."""
         versions = self._models.get(model_uri)
@@ -371,13 +452,16 @@ class LifecycleManager:
             "model {!r} has no version {!r}".format(model_uri, version)
         )
 
+    @_locked
     def model_versions(self, model_uri: str) -> List[str]:
         return [m.version.version_number for m in self._models.get(model_uri, [])]
 
+    @_locked
     def models(self) -> List[LifecycleModel]:
         """The latest version of every published model."""
         return [versions[-1] for versions in self._models.values()]
 
+    @_locked
     def applicable_resource_types(self, model_uri: str) -> List[str]:
         """Resource types on which every action of the model resolves."""
         model = self.model(model_uri)
@@ -389,6 +473,7 @@ class LifecycleManager:
     # rebuild kernel state *without* re-running validation, action dispatch or
     # event publication — recovered state must not be journaled again.
 
+    @_locked
     def install_model(self, model: LifecycleModel) -> bool:
         """Install (and freeze) an already-validated model version silently.
 
@@ -402,6 +487,7 @@ class LifecycleManager:
         versions.append(model.freeze())
         return True
 
+    @_locked
     def install_instance(self, instance: LifecycleInstance) -> LifecycleInstance:
         """Insert a rebuilt instance silently (no events, no resource check).
 
@@ -416,11 +502,13 @@ class LifecycleManager:
         self._index.add(instance)
         return instance
 
+    @_locked
     def reindex_instance(self, instance_id: str) -> None:
         """Re-file an instance mutated outside the manager (journal replay)."""
         self._index.refresh(self.instance(instance_id))
 
     # ================================================================== runtime
+    @_locked
     def instantiate(self, model_uri: str, resource: ResourceDescriptor, owner: str,
                     actor: str = None, version: str = None,
                     instantiation_parameters: Dict[str, Dict[str, Any]] = None,
@@ -436,9 +524,8 @@ class LifecycleManager:
         instance also receives the instantiation-time parameter bindings ("actions can be configured if
         necessary", §IV.B).  The token is not placed yet; call :meth:`start`.
 
-        ``instance_id`` lets a routing layer (the sharded runtime) pick the
-        id before creation, so the hash of the id decides the shard; when
-        omitted a fresh unique id is generated.
+        ``instance_id`` pins the id of the new instance; when omitted a
+        fresh unique id is generated.
         """
         self._ensure_writable("instance creation")
         actor = actor or owner
@@ -472,42 +559,47 @@ class LifecycleManager:
                           capture_errors: bool = False) -> List[Any]:
         """Create many instances; one list entry per request, in order.
 
-        Each request is the kwargs of :meth:`instantiate`.  With
-        ``capture_errors`` a failing item yields its exception in place of an
-        instance instead of aborting the batch — the bulk API reports such
-        partial failures per item.  The sharded runtime overrides this with a
-        shard-parallel fan-out; here the loop is serial.
+        Each request is the kwargs of :meth:`instantiate`.  The batch runs as
+        one serial drain under the kernel lock (see :meth:`_drain` for the
+        error policy).
         """
-        results: List[Any] = []
-        for request in requests:
-            try:
-                results.append(self.instantiate(**request))
-            except Exception as exc:  # noqa: BLE001 - captured per item
-                if not capture_errors:
-                    raise
-                results.append(exc)
-        return results
+        return self._drain(requests, capture_errors,
+                           lambda request: self.instantiate(**request))
 
     def map_instances(self, instance_ids: List[str],
-                      operation, capture_errors: bool = False) -> List[Any]:
+                      operation: Callable[["LifecycleManager", str], Any],
+                      capture_errors: bool = False) -> List[Any]:
         """Apply ``operation(manager, instance_id)`` to each id, in order.
 
-        The single-shard counterpart of
-        :meth:`~repro.runtime.sharding.ShardedLifecycleManager.map_instances`,
-        so the service's bulk endpoints run unchanged on either kernel.  With
-        ``capture_errors`` a failing item yields its exception in place of a
-        result instead of aborting the batch.
+        The whole batch runs as one serial drain under the kernel lock (see
+        :meth:`_drain` for the error policy), so ``operation`` must not wait
+        for pooled completions: use the ``*_async`` verbs and drain after.
+        """
+        return self._drain(instance_ids, capture_errors,
+                           lambda instance_id: operation(self, instance_id))
+
+    def _drain(self, items: List[Any], capture_errors: bool,
+               apply: Callable[[Any], Any]) -> List[Any]:
+        """Apply ``apply`` to every item holding the lock, in a ``shard.drain`` span.
+
+        ``Exception`` is the unit of per-item failure: with
+        ``capture_errors`` it takes the item's place in the results and the
+        drain continues — the bulk API reports partial failures per item —
+        otherwise the first one aborts the drain and is raised.
+        ``KeyboardInterrupt``/``SystemExit`` always abort.
         """
         results: List[Any] = []
-        for instance_id in instance_ids:
-            try:
-                results.append(operation(self, instance_id))
-            except Exception as exc:  # noqa: BLE001 - captured per item
-                if not capture_errors:
-                    raise
-                results.append(exc)
+        with span_scope("shard.drain", items=len(items)), self._lock:
+            for item in items:
+                try:
+                    results.append(apply(item))
+                except Exception as exc:  # noqa: BLE001 - captured per item
+                    if not capture_errors:
+                        raise
+                    results.append(exc)
         return results
 
+    @_locked
     def instance(self, instance_id: str) -> LifecycleInstance:
         try:
             return self._instances[instance_id]
@@ -519,13 +611,15 @@ class LifecycleManager:
     def peek_instance(self, instance_id: str) -> Optional[LifecycleInstance]:
         """Lock-free lookup: the instance, or ``None`` when unknown.
 
-        Exists for bus subscribers (the persistence coordinator) that may run
-        *inside* another shard's locked section and therefore must never
-        acquire shard locks themselves.  Safe because an instance is fully
-        constructed before any event about it is published.
+        Exists for bus subscribers (the persistence coordinator), which must
+        not take the kernel lock: on a batching bus they may run on a thread
+        flushing the batch while a writer that holds the lock waits for that
+        flush.  Safe because an instance is fully constructed before any
+        event about it is published.
         """
         return self._instances.get(instance_id)
 
+    @_locked
     def instances(self, model_uri: str = None, owner: str = None,
                   status: InstanceStatus = None,
                   phase_id: str = None) -> List[LifecycleInstance]:
@@ -550,13 +644,16 @@ class LifecycleManager:
             result.append(instance)
         return result
 
+    @_locked
     def instance_count(self) -> int:
         return len(self._instances)
 
+    @_locked
     def instances_for_resource(self, resource_uri: str) -> List[LifecycleInstance]:
         """All instances attached to a URI — several may run at once (§IV.B)."""
         return self._index.lookup(self._index.by_resource, resource_uri)
 
+    @_locked
     def phase_distribution(self, model_uri: str = None) -> Dict[Optional[str], int]:
         """Instances per current phase id (``None`` = not started), from the index."""
         if model_uri is None:
@@ -566,10 +663,12 @@ class LifecycleManager:
             counts[instance.current_phase_id] = counts.get(instance.current_phase_id, 0) + 1
         return counts
 
+    @_locked
     def owner_distribution(self) -> Dict[str, int]:
         """Instances per owner, straight from the index."""
         return self._index.counts(self._index.by_owner)
 
+    @_locked
     def status_distribution(self) -> Dict[InstanceStatus, int]:
         """Instances per status, straight from the index."""
         return self._index.counts(self._index.by_status)
@@ -592,20 +691,23 @@ class LifecycleManager:
 
     # ------------------------------------------------------------- progression
     # Every token move comes in two flavours: ``*_async`` submits the phase
-    # actions and returns as soon as the token has moved (completions apply
-    # later, wherever the completion executor runs them), while the classic
-    # synchronous name is a thin wrapper — submit, then wait for the
-    # instance's pending completions.  With the default inline executor the
-    # wait is a no-op and behaviour is exactly the pre-refactor one.
+    # actions under the kernel lock and returns as soon as the token has
+    # moved (completions apply later, wherever the completion executor runs
+    # them), while the classic synchronous name is a thin wrapper — submit,
+    # then wait for the instance's pending completions *after releasing the
+    # lock*, since waiting inside it would deadlock against completions
+    # re-acquiring it.  With the default inline executor the wait is a no-op.
 
     def start(self, instance_id: str, actor: str, phase_id: str = None,
               call_parameters: Dict[str, Dict[str, Any]] = None) -> LifecycleInstance:
         """Place the token on an initial phase and run its actions."""
-        instance = self.start_async(instance_id, actor, phase_id=phase_id,
-                                    call_parameters=call_parameters)
-        self.wait_for_instance(instance_id)
+        with span_scope("shard.apply", operation="start_async"):
+            instance = self.start_async(instance_id, actor, phase_id=phase_id,
+                                        call_parameters=call_parameters)
+            self.wait_for_instance(instance_id)
         return instance
 
+    @_locked
     def start_async(self, instance_id: str, actor: str, phase_id: str = None,
                     call_parameters: Dict[str, Dict[str, Any]] = None) -> LifecycleInstance:
         """Place the token on an initial phase and submit its actions."""
@@ -631,12 +733,14 @@ class LifecycleManager:
         when the model suggests several, the owner must choose one (that is
         the "human in the driver's seat").
         """
-        instance = self.advance_async(instance_id, actor, to_phase_id=to_phase_id,
-                                      call_parameters=call_parameters,
-                                      annotation=annotation)
-        self.wait_for_instance(instance_id)
+        with span_scope("shard.apply", operation="advance_async"):
+            instance = self.advance_async(instance_id, actor, to_phase_id=to_phase_id,
+                                          call_parameters=call_parameters,
+                                          annotation=annotation)
+            self.wait_for_instance(instance_id)
         return instance
 
+    @_locked
     def advance_async(self, instance_id: str, actor: str, to_phase_id: str = None,
                       call_parameters: Dict[str, Dict[str, Any]] = None,
                       annotation: str = None) -> LifecycleInstance:
@@ -672,12 +776,14 @@ class LifecycleManager:
         (§IV.B).  Off-model moves are recorded as deviations, and the optional
         annotation explains why.
         """
-        instance = self.move_to_async(instance_id, actor, phase_id,
-                                      call_parameters=call_parameters,
-                                      annotation=annotation)
-        self.wait_for_instance(instance_id)
+        with span_scope("shard.apply", operation="move_to_async"):
+            instance = self.move_to_async(instance_id, actor, phase_id,
+                                          call_parameters=call_parameters,
+                                          annotation=annotation)
+            self.wait_for_instance(instance_id)
         return instance
 
+    @_locked
     def move_to_async(self, instance_id: str, actor: str, phase_id: str,
                       call_parameters: Dict[str, Dict[str, Any]] = None,
                       annotation: str = None) -> LifecycleInstance:
@@ -702,6 +808,7 @@ class LifecycleManager:
         """:meth:`skip_to` without waiting for the submitted actions."""
         return self.move_to_async(instance_id, actor, phase_id, annotation=reason)
 
+    @_locked
     def annotate(self, instance_id: str, actor: str, text: str, phase_id: str = None,
                  kind: str = "note") -> Annotation:
         """Attach a free-text annotation to the instance."""
@@ -720,6 +827,7 @@ class LifecycleManager:
                       text=text, kind=kind, phase_id=annotation.phase_id)
         return annotation
 
+    @_locked
     def bind_parameters(self, instance_id: str, actor: str, call_id: str,
                         parameters: Dict[str, Any]) -> None:
         """Bind instantiation-time parameters after creation (late configuration)."""
@@ -729,6 +837,7 @@ class LifecycleManager:
         instance.bind_instantiation_parameters(call_id, parameters)
 
     # ---------------------------------------------------------- model evolution
+    @_locked
     def change_instance_model(self, instance_id: str, actor: str, model: LifecycleModel,
                               target_phase_id: str = None) -> LifecycleInstance:
         """Let the owner give one instance its own copy of another model.
@@ -755,26 +864,17 @@ class LifecycleManager:
                       target_phase=target)
         return instance
 
+    @_locked
     def propose_change(self, model: LifecycleModel, actor: str,
                        instance_ids: List[str] = None) -> List[ChangeProposal]:
         """Publish a new model version and open propagation proposals.
 
         Proposals are opened for the given instances (default: every active
         instance of the model); owners decide later via :meth:`accept_change`
-        or :meth:`reject_change`.
+        or :meth:`reject_change`; instances already on the new version are
+        skipped.
         """
         self.publish_model(model, actor=actor)
-        return self.open_proposals(model, actor, instance_ids=instance_ids)
-
-    def open_proposals(self, model: LifecycleModel, actor: str,
-                       instance_ids: List[str] = None) -> List[ChangeProposal]:
-        """Open propagation proposals for an already-published model version.
-
-        Shared by :meth:`propose_change` and the sharded runtime (which
-        publishes once across all shards and then opens proposals shard by
-        shard).  Instances already on the new version are skipped.
-        """
-        self._ensure_writable("change propagation")
         if instance_ids is None:
             targets = [
                 instance
@@ -790,6 +890,7 @@ class LifecycleManager:
             proposals.append(self.propagation.propose(instance, model, requested_by=actor))
         return proposals
 
+    @_locked
     def accept_change(self, proposal_id: str, actor: str, target_phase_id: str = None):
         """Owner accepts a propagation proposal (state migration)."""
         self._ensure_writable("change propagation")
@@ -801,6 +902,7 @@ class LifecycleManager:
         self._index.refresh(instance)
         return plan
 
+    @_locked
     def reject_change(self, proposal_id: str, actor: str, reason: str = ""):
         """Owner rejects a propagation proposal; the instance keeps its model."""
         self._ensure_writable("change propagation")
@@ -817,10 +919,12 @@ class LifecycleManager:
         :meth:`invoke_action_async` for the fire-and-observe variant the
         scheduler's retry machinery uses.
         """
-        invocation = self.invoke_action_async(instance_id, actor, call_id)
-        self.wait_for_invocation(invocation.invocation_id)
+        with span_scope("shard.apply", operation="invoke_action_async"):
+            invocation = self.invoke_action_async(instance_id, actor, call_id)
+            self.wait_for_invocation(invocation.invocation_id)
         return invocation
 
+    @_locked
     def invoke_action_async(self, instance_id: str, actor: str,
                             call_id: str) -> ActionInvocation:
         """Submit one of the current phase's bound action calls on demand.
@@ -873,6 +977,7 @@ class LifecycleManager:
         return invocation
 
     # -------------------------------------------------------------- callbacks
+    @_locked
     def handle_callback(self, callback_uri: str, status: str, detail: str = "",
                         **payload: Any) -> StatusMessage:
         """Receive a status message sent by an action to its callback URI.
@@ -997,11 +1102,11 @@ class LifecycleManager:
                            ) -> PendingInvocation:
         """Register, announce and submit one invocation (submit phase).
 
-        Runs under the owning shard lock (when there is one).  The
-        ``action.dispatched`` event is published here — at submit time — so
-        the journal records the in-flight window; the terminal event is
-        published by the completion handler below, which re-acquires the
-        completion lock only to apply the outcome.
+        Runs under the kernel lock.  The ``action.dispatched`` event is
+        published here — at submit time — so the journal records the
+        in-flight window; the terminal event is published by the completion
+        handler below, which re-acquires the kernel lock only to apply the
+        outcome.
         """
         instance_id = instance.instance_id
         self._publish("action.dispatched", instance_id, actor,
@@ -1015,11 +1120,10 @@ class LifecycleManager:
 
         def on_complete(pending: PendingInvocation,
                         result: Optional[Dict[str, Any]], error: str) -> None:
-            # Complete phase: runs on the completion executor's thread.  The
-            # completion lock is the owning shard's lock, so the outcome is
-            # applied under the same mutual exclusion as any other mutation.
+            # Complete phase: runs on the completion executor's thread, and
+            # applies the outcome under the kernel lock like any mutation.
             try:
-                with self._completion_lock:
+                with self._lock:
                     self._dispatcher.complete(invocation, result=result, error=error)
                     completed = invocation.status is ActionStatus.COMPLETED
                     kind = "action.completed" if completed else "action.failed"

@@ -22,8 +22,7 @@ timers and retry state (see :mod:`repro.persistence.recovery`).
 
 The service tier wires everything from one knob::
 
-    service = GeleeService(shard_count=16,
-                           persistence=PersistenceConfig(directory),
+    service = GeleeService(persistence=PersistenceConfig(directory),
                            scheduler=SchedulerConfig(
                                checkpoint_interval_seconds=300))
     service.scheduler_tick()          # or POST /v2/runtime/scheduler:tick

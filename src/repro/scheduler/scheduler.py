@@ -1,7 +1,7 @@
 """The lifecycle scheduler: turning the clock into a driver of the runtime.
 
 :class:`LifecycleScheduler` binds a :class:`~repro.scheduler.timers.TimerService`
-to a lifecycle manager (single or sharded) and automates three families of
+to a lifecycle manager and automates three families of
 clock-driven behaviour:
 
 1. **Deadline enforcement.**  Whenever the token enters a phase carrying a
@@ -239,8 +239,9 @@ class LifecycleScheduler:
         batching bus the instance may already be phases ahead of the event
         being delivered, and re-deriving from current state makes delivery
         of the whole batch converge on the right timer regardless of
-        interleaving.  Uses the lock-free ``peek_instance`` because bus
-        handlers may run inside another shard's locked flush section.
+        interleaving.  Uses the lock-free ``peek_instance`` because on a
+        batching bus handlers may run on a flushing thread while a writer
+        holding the kernel lock waits for that flush.
         """
         timer_id = deadline_timer_id(instance_id)
         instance = self._manager.peek_instance(instance_id)

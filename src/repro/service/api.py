@@ -10,7 +10,6 @@ two wire formats expose exactly the same behaviour.
 from __future__ import annotations
 
 import time
-from collections import deque
 from datetime import datetime
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -34,7 +33,6 @@ from ..plugins.setup import StandardEnvironment, build_standard_environment
 from ..resources.descriptor import ResourceDescriptor
 from ..runtime.instance import InstanceStatus
 from ..runtime.manager import LifecycleManager
-from ..runtime.sharding import ShardedLifecycleManager
 from ..scheduler import LifecycleScheduler, SchedulerConfig, TimerService
 from ..serialization.json_codec import lifecycle_from_dict
 from ..serialization.lifecycle_xml import lifecycle_from_xml, lifecycle_to_xml
@@ -111,7 +109,7 @@ class GeleeService:
 
     def __init__(self, environment: StandardEnvironment = None, clock: Clock = None,
                  policy: AccessPolicy = None, with_builtin_templates: bool = True,
-                 manager: LifecycleManager = None, shard_count: int = None,
+                 manager: LifecycleManager = None,
                  persistence: PersistenceConfig = None,
                  scheduler: SchedulerConfig = None,
                  read_only: bool = False, primary_hint: str = None,
@@ -120,11 +118,11 @@ class GeleeService:
                  slo_rules: Optional[List[SloRule]] = None):
         """Assemble the hosted platform.
 
-        ``manager`` injects a pre-built kernel — typically a
-        :class:`~repro.runtime.sharding.ShardedLifecycleManager` wired to a
-        batching bus; the service then shares that manager's environment,
-        bus and clock.  ``shard_count`` is a shorthand that builds a sharded
-        kernel here; with neither, the classic single-shard manager is used.
+        ``manager`` injects a pre-built
+        :class:`~repro.runtime.manager.LifecycleManager` (e.g. one wired to
+        a batching bus or a simulated action latency); the service then
+        shares that manager's environment, bus and clock.  Without it the
+        service builds its own kernel.
 
         ``persistence`` makes the deployment durable: a
         :class:`~repro.persistence.PersistenceConfig` whose directory holds
@@ -142,13 +140,12 @@ class GeleeService:
         per deployment.  Pass ``SchedulerConfig(enabled=False)`` for the
         pre-scheduler passive behaviour.
 
-        ``completion_workers`` switches the sharded kernel to pooled
+        ``completion_workers`` switches the service's own kernel to pooled
         completion-based dispatch (see ``docs/DISPATCH.md``): action
-        round-trips sleep on a shared worker pool instead of under shard
-        locks, so a shard keeps serving requests while its instances wait
-        on web services.  ``0`` (the default) keeps dispatch inline and
-        synchronous; the flag only applies when the service builds its own
-        sharded kernel via ``shard_count``.
+        round-trips sleep on a worker pool outside the kernel lock, so the
+        kernel keeps serving requests while its instances wait on web
+        services.  ``0`` (the default) keeps dispatch inline and
+        synchronous; an injected ``manager`` keeps its own dispatch.
 
         ``read_only`` builds the service as a **read replica**
         (:mod:`repro.replication`): the runtime rejects mutations with a
@@ -194,17 +191,12 @@ class GeleeService:
         if manager is not None:
             self.manager = manager
             self.bus = manager.bus
-        elif shard_count is not None and shard_count > 1:
-            self.bus = EventBus()
-            self.manager = ShardedLifecycleManager(
-                self.environment, shard_count=shard_count,
-                clock=clock or self.environment.clock, bus=self.bus,
-                access_policy=policy, completion_workers=completion_workers)
         else:
             self.bus = EventBus()
             self.manager = LifecycleManager(self.environment,
                                             clock=clock or self.environment.clock,
-                                            bus=self.bus, access_policy=policy)
+                                            bus=self.bus, access_policy=policy,
+                                            completion_workers=completion_workers)
         self.cockpit = MonitoringCockpit(self.manager)
         # A durable deployment embeds the log in every snapshot manifest, so
         # honour the config's retention bound to keep checkpoints O(bound).
@@ -373,8 +365,7 @@ class GeleeService:
             # can take over without waiting out the TTL.
             self.coordination.close()
         self.scheduler.close()
-        if hasattr(self.manager, "close"):
-            self.manager.close()
+        self.manager.close()
         self.operations.close()
         if self.persistence is not None:
             self.persistence.close()
@@ -516,7 +507,7 @@ class GeleeService:
                                             scheduler=self.scheduler)
 
     def runtime_stats(self) -> Dict[str, Any]:
-        """Deployment-level runtime figures (shard layout, event volume)."""
+        """Deployment-level runtime figures (instances, event volume, dispatch)."""
         manager = self.manager
         stats: Dict[str, Any] = {
             "instances": manager.instance_count(),
@@ -524,25 +515,18 @@ class GeleeService:
             "by_status": {status.value: count
                           for status, count in manager.status_distribution().items()},
         }
-        if isinstance(manager, ShardedLifecycleManager):
-            stats["shard_count"] = manager.shard_count
-            stats["shard_sizes"] = manager.shard_sizes()
-        else:
-            stats["shard_count"] = 1
-            stats["shard_sizes"] = [manager.instance_count()]
         stats["persistence_enabled"] = self.persistence is not None
         stats["scheduler_enabled"] = self.scheduler.config.enabled
         stats["pending_timers"] = self.scheduler.timers.pending_count
         stats["read_only"] = self.read_only
         # Completion-based dispatch figures (docs/DISPATCH.md).  The
-        # ``dispatch`` block is the *stable* schema — identical keys on the
-        # single-manager and sharded paths, so dashboards never branch on
-        # deployment shape.  The flat legacy keys stay for older callers.
+        # ``dispatch`` block is the *stable* schema — identical keys inline
+        # and pooled, so dashboards never branch on deployment shape.  The
+        # flat legacy keys stay for older callers.
         in_flight = manager.in_flight_count()
-        executor = getattr(manager, "completion_executor", None)
-        mode = executor.mode if executor is not None else "inline"
-        pool = getattr(manager, "worker_pool", None)
-        pool_stats = pool.stats() if pool is not None and not pool.closed else None
+        mode = manager.completion_executor.mode
+        pool = manager.worker_pool
+        pool_stats = pool.stats() if pool is not None else None
         stats["dispatch"] = {
             "mode": mode,
             "in_flight": in_flight,
@@ -578,10 +562,8 @@ class GeleeService:
             "gelee_dispatch_in_flight",
             "Actions submitted but not yet completed.",
         ).set(self.manager.in_flight_count())
-        pool = getattr(self.manager, "worker_pool", None)
-        queued = 0
-        if pool is not None and not pool.closed:
-            queued = pool.stats()["queued"]
+        pool = self.manager.worker_pool
+        queued = pool.stats()["queued"] if pool is not None else 0
         registry.gauge(
             "gelee_worker_pool_queued",
             "Completion tasks waiting for a dispatch worker.",
@@ -1138,7 +1120,7 @@ class GeleeService:
     # ------------------------------------------------------------- bulk calls
     def batch_create_instances(self, items: List[CreateInstanceItem],
                                actor: str = None) -> BatchResult:
-        """Create many instances in one call, fanning out across shards.
+        """Create many instances in one call, as one drain of the kernel.
 
         Partial failure is reported per item: a malformed resource or an
         unknown model fails that item only, never the batch.
@@ -1175,28 +1157,25 @@ class GeleeService:
 
     def batch_advance_instances(self, items: List[AdvanceItem],
                                 actor: str) -> BatchResult:
-        """Advance many instances in one call, one concurrent worker per shard.
+        """Advance many instances in one call, as one drain of the kernel.
 
         Rides the submit/complete dispatch protocol end to end: the per-item
         callback uses ``advance_async``, which *submits* the phase's action
-        round-trips and returns without sleeping through them — so a shard
-        worker holds its shard lock only for the token move itself, and every
-        submitted action across the whole batch waits concurrently on the
-        completion pool.  One ``drain_in_flight`` barrier at the end (outside
-        all shard locks) makes the response read-your-writes: every reported
-        status reflects applied action outcomes.  Per-item failures are
-        captured, not raised.
+        round-trips and returns without sleeping through them — so the drain
+        holds the kernel lock only for the token moves, and every submitted
+        action across the whole batch waits concurrently on the completion
+        pool.  One ``drain_in_flight`` barrier at the end (outside the lock)
+        makes the response read-your-writes: every reported status reflects
+        applied action outcomes.  Per-item failures are captured, not raised.
         """
         self.require(actor, "actor")
-        # Items are consumed per instance id in request order; every id maps
-        # to exactly one shard worker, so each queue has a single consumer.
-        queues: Dict[str, deque] = {}
-        for item in items:
-            queues.setdefault(item.instance_id, deque()).append(item)
+        # map_instances applies the ids serially in request order, so the
+        # n-th call belongs to the n-th item.
+        pending = iter(items)
 
         def advance(manager: LifecycleManager, instance_id: str):
-            item = queues[instance_id].popleft()
-            # Never the sync advance here: the callback runs under the shard
+            item = next(pending)
+            # Never the sync advance here: the callback runs under the kernel
             # lock, and waiting for completions while holding it would
             # deadlock a pooled executor (completions need that same lock).
             return manager.advance_async(
@@ -1206,8 +1185,7 @@ class GeleeService:
 
         outcomes = self.manager.map_instances(
             [item.instance_id for item in items], advance, capture_errors=True)
-        self.manager.drain_in_flight(
-            timeout=getattr(self.manager, "quiesce_drain_timeout", 30.0))
+        self.manager.drain_in_flight(timeout=self.manager.quiesce_drain_timeout)
         results = []
         for position, (item, outcome) in enumerate(zip(items, outcomes)):
             if isinstance(outcome, BaseException):

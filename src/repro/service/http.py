@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import json
 import threading
+from http import HTTPStatus
 from http.client import HTTPConnection
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional
 from urllib.parse import parse_qsl, urlencode, urlsplit
 
 from .rest import Request, Response, RestRouter
+from .v2.envelope import Envelope, ErrorInfo, new_request_id
 
 
 class _RouterRequestHandler(BaseHTTPRequestHandler):
@@ -34,11 +36,32 @@ class _RouterRequestHandler(BaseHTTPRequestHandler):
     def log_message(self, format, *args):  # noqa: A002 - BaseHTTPRequestHandler API
         pass
 
-    def do_GET(self):  # noqa: N802 - BaseHTTPRequestHandler API
-        self._dispatch("GET")
+    def __getattr__(self, name: str):
+        # The stdlib looks up ``do_<METHOD>`` for the request line's method
+        # and answers its own 501 page, outside the router, when there is
+        # none.  Every method goes to the router instead, which answers
+        # 404/405 envelopes and counts, logs and traces the request.
+        if name.startswith("do_"):
+            return lambda: self._dispatch(self.command)
+        raise AttributeError(name)
 
-    def do_POST(self):  # noqa: N802 - BaseHTTPRequestHandler API
-        self._dispatch("POST")
+    def send_error(self, code: int, message: str = None, explain: str = None) -> None:
+        """Answer a request the stdlib refused before routing.
+
+        The stdlib calls this for a request line or header block it cannot
+        parse (and would answer an HTML page); the answer here is the v2
+        error envelope, and the connection closes because the stream cannot
+        be re-framed after such a request.
+        """
+        status = HTTPStatus(code)
+        request_id = new_request_id()
+        details = {"explain": explain} if explain else {}
+        envelope = Envelope.failure(ErrorInfo(
+            code=status.name, message=message or status.phrase,
+            status=status.value, details=details), request_id=request_id)
+        self.close_connection = True
+        self._send(Response(status.value, envelope.to_dict(),
+                            headers={"X-Request-Id": request_id}))
 
     def _dispatch(self, method: str) -> None:
         parts = urlsplit(self.path)
@@ -96,7 +119,8 @@ class _RouterRequestHandler(BaseHTTPRequestHandler):
             if name.lower() != "content-type":
                 self.send_header(name, value)
         self.end_headers()
-        self.wfile.write(payload)
+        if self.command != "HEAD":
+            self.wfile.write(payload)
 
 
 class GeleeHttpServer:

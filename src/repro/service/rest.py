@@ -74,27 +74,26 @@ class Route:
 class RestRouter:
     """Routes REST requests (v1 and v2) to Gelee service operations."""
 
-    def __init__(self, service: GeleeService = None, manager=None, shard_count: int = None,
+    def __init__(self, service: GeleeService = None, manager=None,
                  persistence=None, coordination=None):
         """Route over an existing service, or assemble one.
 
-        ``manager`` (e.g. a :class:`~repro.runtime.sharding.ShardedLifecycleManager`),
-        ``shard_count``, ``persistence`` (a
-        :class:`~repro.persistence.PersistenceConfig`) and ``coordination``
-        (a :class:`~repro.coordination.CoordinationConfig`) are forwarded to
-        :class:`GeleeService` when no pre-built service is given, so a
-        durable sharded deployment is one call:
-        ``RestRouter(shard_count=16, persistence=PersistenceConfig(dir))``.
+        ``manager`` (a pre-built
+        :class:`~repro.runtime.manager.LifecycleManager`), ``persistence``
+        (a :class:`~repro.persistence.PersistenceConfig`) and
+        ``coordination`` (a :class:`~repro.coordination.CoordinationConfig`)
+        are forwarded to :class:`GeleeService` when no pre-built service is
+        given, so a durable deployment is one call:
+        ``RestRouter(persistence=PersistenceConfig(dir))``.
         """
         if service is None:
-            service = GeleeService(manager=manager, shard_count=shard_count,
-                                   persistence=persistence,
+            service = GeleeService(manager=manager, persistence=persistence,
                                    coordination=coordination)
-        elif (manager is not None or shard_count is not None
-              or persistence is not None or coordination is not None):
+        elif (manager is not None or persistence is not None
+              or coordination is not None):
             raise ServiceError(
-                "pass either a service or manager/shard_count/persistence/"
-                "coordination, not both")
+                "pass either a service or manager/persistence/coordination, "
+                "not both")
         self.service = service
         self.stats = ApiStats()
         self._routes: List[Route] = []

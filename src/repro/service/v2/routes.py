@@ -3,8 +3,8 @@
 ``install(router)`` mounts the versioned surface on a
 :class:`~repro.service.rest.RestRouter`.  Every v2 response is the uniform
 ``{data, meta, error}`` envelope; every collection is paginated with keyset
-cursors served from the runtime's secondary indexes; bulk calls fan out
-across shards; long-running calls return ``202`` operation handles.
+cursors served from the runtime's secondary indexes; bulk calls run as one
+kernel drain; long-running calls return ``202`` operation handles.
 
 Verb-style sub-resources follow the ``resource:verb`` convention
 (``/v2/instances/{id}:advance``, ``/v2/instances:batchCreate``) so the path

@@ -73,7 +73,7 @@ class ExecutionLog:
         #: subject id -> entries about it, oldest first (an indexed lookup
         #: path: instance history queries don't scan the whole log).
         self._by_subject: Dict[str, List[LogEntry]] = {}
-        # The log may subscribe to a bus shared by concurrent shards.
+        # The log may subscribe to a bus shared by concurrent publishers.
         self._lock = threading.Lock()
         if bus is not None:
             bus.subscribe("*", self.record_event)

@@ -9,8 +9,8 @@ measures the machine that serves it.  Five small, dependency-free parts:
 * :mod:`repro.telemetry.spans` — the request context and a causal span
   tree over it.  One context variable holds the active trace id (the
   gateway's request id) and span id; the worker pool runs each task in a
-  copy of the submitter's context, so the id follows shard fan-out,
-  pooled completions, journal appends and the replication stream across
+  copy of the submitter's context, so the id follows pooled
+  completions, journal appends and the replication stream across
   primary, follower and promoted node.  :func:`span_scope` opens timed
   child spans and a bounded :class:`SpanStore` keeps recent traces (plus
   slow-trace exemplars) retrievable via

@@ -7,7 +7,7 @@ where the single process serialises today.  Two tools make that visible:
   that *samples* acquisition wait time into the shared
   ``gelee_lock_wait_seconds{site=...}`` histogram.  Sampling (default:
   one acquisition in 16, the first always included) keeps the wrapper
-  cheap enough for the shard-lock hot path while still drawing an
+  cheap enough for the kernel-lock hot path while still drawing an
   honest wait distribution; the sample counter is updated without a
   lock — the benign race costs sampling accuracy, never correctness.
   The wrapper exposes ``acquire``/``release``/context-manager, so it

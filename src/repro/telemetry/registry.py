@@ -11,7 +11,7 @@ Three instrument types, mirroring the Prometheus data model:
 Instruments are registered get-or-create by name: asking twice for the
 same name returns the same object, asking with a conflicting type or
 label set raises.  Every update takes the instrument's lock, so the
-registry is safe under the shard worker pool; the cost of one update is a
+registry is safe under the completion worker pool; the cost of one update is a
 tuple build, a dict lookup and a few adds — small enough that
 ``BENCH_telemetry.json`` holds the instrumented dispatch path within a
 few percent of a disabled registry.

@@ -21,9 +21,9 @@ surviving promotion.  The span id upgrades that id into a causal tree:
   request this hour" is still retrievable after the ring has churned.
 
 :class:`~repro.workers.WorkerPool` runs every task in a copy of the
-submitter's context, so shard fan-out, pooled completions and 202
-operations keep the request's trace and parent their spans on the
-submitting span with no capture at the call site.  A bare
+submitter's context, so pooled completions and 202 operations keep the
+request's trace and parent their spans on the submitting span with no
+capture at the call site.  A bare
 ``threading.Thread`` starts with an empty context.
 
 Everything here is allocation-light and no-ops cheaply: with the store

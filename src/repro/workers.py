@@ -1,11 +1,10 @@
 """A persistent worker pool for the runtime's background work.
 
-Three subsystems used to spawn a fresh daemon ``threading.Thread`` per unit
-of work: the sharded runtime's bulk fan-out (one thread per shard *per
-call*), the v2 operation store (one thread per 202 operation) and — with the
-completion-based dispatcher — every in-flight action would have needed one.
-Thread creation is cheap but not free (~50-100 µs plus scheduler churn), and
-a bulk benchmark run creates tens of thousands of them.
+Two subsystems would otherwise spawn a fresh daemon ``threading.Thread``
+per unit of work: the v2 operation store (one thread per 202 operation) and
+the completion-based dispatcher (one per in-flight action).  Thread
+creation is cheap but not free (~50-100 µs plus scheduler churn), and a
+bulk benchmark run creates tens of thousands of them.
 
 :class:`WorkerPool` replaces those spawns with a fixed set of long-lived
 daemon workers draining a shared queue.  Tasks are submitted as plain
@@ -17,10 +16,9 @@ at submit, so the request's trace and span ids
 capturing anything.
 
 The pool is deliberately tiny and dependency-free (no
-``concurrent.futures``) so it can sit below every other module: the sharded
-runtime shares one pool between its per-shard fan-out workers and the
-pooled completion executor, and sizes it so both sides always make
-progress (see :mod:`repro.runtime.sharding`).
+``concurrent.futures``) so it can sit below every other module: the
+kernel's pooled completion executor runs on one (see
+:class:`~repro.runtime.manager.LifecycleManager`).
 """
 
 from __future__ import annotations

@@ -381,7 +381,7 @@ class TestCoordinatedService:
         options = dict(store=store, ttl_seconds=10.0,
                        fence_revalidate_seconds=0)
         options.update(overrides)
-        return GeleeService(shard_count=4, clock=clock,
+        return GeleeService(clock=clock,
                             coordination=CoordinationConfig(**options))
 
     def test_single_node_is_leader_on_start(self, clock):
@@ -398,7 +398,7 @@ class TestCoordinatedService:
         service.close()
 
     def test_uncoordinated_service_reports_disabled(self):
-        service = GeleeService(shard_count=2)
+        service = GeleeService()
         assert service.coordination_status() == {"enabled": False,
                                                  "role": "primary"}
         with pytest.raises(CoordinationError):
@@ -409,7 +409,7 @@ class TestCoordinatedService:
     def test_read_only_cannot_campaign(self, clock):
         store = MemoryLeaseStore(clock=clock)
         with pytest.raises(Exception):
-            GeleeService(shard_count=2, clock=clock, read_only=True,
+            GeleeService(clock=clock, read_only=True,
                          coordination=CoordinationConfig(store=store))
 
     def test_config_requires_shared_store(self):
@@ -418,7 +418,7 @@ class TestCoordinatedService:
 
     def test_directory_config_builds_sqlite_store(self, clock, root):
         service = GeleeService(
-            shard_count=2, clock=clock,
+            clock=clock,
             coordination=CoordinationConfig(directory=root, ttl_seconds=10.0))
         assert os.path.exists(os.path.join(root, "leases.sqlite3"))
         assert service.coordination_status()["store"]["type"] == "sqlite"
@@ -451,7 +451,7 @@ class TestCoordinatedService:
         gets a typed stale-token rejection on its very next write."""
         store = MemoryLeaseStore(clock=clock)
         config = PersistenceConfig(os.path.join(root, "a"), fsync="never")
-        a = GeleeService(shard_count=4, clock=clock, persistence=config,
+        a = GeleeService(clock=clock, persistence=config,
                          coordination=CoordinationConfig(
                              store=store, ttl_seconds=10.0,
                              fence_revalidate_seconds=0))
@@ -463,7 +463,7 @@ class TestCoordinatedService:
         # a stalls (GC pause, partition): no heartbeats while its TTL runs
         # out, and node b wins the next epoch.
         clock.advance(seconds=11)
-        b = GeleeService(shard_count=4, clock=clock,
+        b = GeleeService(clock=clock,
                          coordination=CoordinationConfig(
                              store=store, node_id="node-b",
                              ttl_seconds=10.0, fence_revalidate_seconds=0))
@@ -508,14 +508,14 @@ class TestCoordinatedService:
         flags; the (lock-heavy) demotion happens on the heartbeat."""
         store = MemoryLeaseStore(clock=clock)
         config = PersistenceConfig(os.path.join(root, "a"), fsync="never")
-        a = GeleeService(shard_count=2, clock=clock, persistence=config,
+        a = GeleeService(clock=clock, persistence=config,
                          coordination=CoordinationConfig(
                              store=store, ttl_seconds=10.0,
                              fence_revalidate_seconds=0))
         clock.advance(seconds=11)
         store.acquire("gelee-primary", "node-b", ttl_seconds=10.0)
         # The bus-side journaling path swallows the fence rejection (the
-        # publisher may hold shard locks) but reports it.
+        # publisher may hold the kernel lock) but reports it.
         from repro.events import Event
         a.bus.publish(Event(kind="test.event", timestamp=clock.now(),
                             subject_id="s1"))
@@ -536,7 +536,7 @@ class TestAutomaticFailover:
         store = MemoryLeaseStore(clock=clock)
         config = PersistenceConfig(os.path.join(root, "primary"),
                                    fsync="never")
-        primary = GeleeService(shard_count=4, clock=clock, persistence=config,
+        primary = GeleeService(clock=clock, persistence=config,
                                coordination=CoordinationConfig(
                                    store=store, node_id="primary-node",
                                    ttl_seconds=10.0,
@@ -546,8 +546,8 @@ class TestAutomaticFailover:
         ids = seed_instances(primary, model, 20)
         primary.persistence.checkpoint()
 
-        replica = ReadReplica(JournalShippingSource(config), shard_count=4,
-                              clock=clock, replica_id="standby-node")
+        replica = ReadReplica(JournalShippingSource(config), clock=clock,
+                              replica_id="standby-node")
         replica.sync()
 
         alive = {"up": True}
@@ -622,13 +622,12 @@ class TestAutomaticFailover:
         store = MemoryLeaseStore(clock=clock)
         config = PersistenceConfig(os.path.join(root, "primary"),
                                    fsync="never")
-        primary = GeleeService(shard_count=2, clock=clock, persistence=config)
+        primary = GeleeService(clock=clock, persistence=config)
         model = lease_model()
         primary.manager.publish_model(model, actor="alice")
         seed_instances(primary, model, 2)
 
-        replica = ReadReplica(JournalShippingSource(config), shard_count=2,
-                              clock=clock)
+        replica = ReadReplica(JournalShippingSource(config), clock=clock)
         monitor = HealthMonitor(lambda: False, failure_threshold=1,
                                 probe_interval_seconds=1.0, clock=clock)
         supervisor = FailoverSupervisor(replica, monitor, store=store,
@@ -648,9 +647,8 @@ class TestAutomaticFailover:
         store = MemoryLeaseStore(clock=clock)
         config = PersistenceConfig(os.path.join(root, "primary"),
                                    fsync="never")
-        GeleeService(shard_count=2, clock=clock, persistence=config).close()
-        replica = ReadReplica(JournalShippingSource(config), shard_count=2,
-                              clock=clock)
+        GeleeService(clock=clock, persistence=config).close()
+        replica = ReadReplica(JournalShippingSource(config), clock=clock)
         monitor = HealthMonitor(lambda: True, failure_threshold=2,
                                 probe_interval_seconds=1.0, clock=clock)
         supervisor = FailoverSupervisor(replica, monitor, store=store,
@@ -668,10 +666,10 @@ class TestSchedulerDaemonElection:
     def test_single_ticker_cluster_wide(self, clock):
         """Two nodes run the same daemon; only the lease holder ticks."""
         store = MemoryLeaseStore(clock=clock)
-        a = GeleeService(shard_count=2, clock=clock,
+        a = GeleeService(clock=clock,
                          coordination=CoordinationConfig(
                              store=store, node_id="node-a", ttl_seconds=10.0))
-        b = GeleeService(shard_count=2, clock=clock,
+        b = GeleeService(clock=clock,
                          coordination=CoordinationConfig(
                              store=store, node_id="node-b", ttl_seconds=10.0))
         daemon_a = SchedulerDaemon(a.scheduler, poll_seconds=1.0,
@@ -694,7 +692,7 @@ class TestSchedulerDaemonElection:
         a.close()
 
     def test_daemon_without_elector_always_ticks(self, clock):
-        service = GeleeService(shard_count=2, clock=clock)
+        service = GeleeService(clock=clock)
         daemon = SchedulerDaemon(service.scheduler, poll_seconds=1.0)
         assert daemon.run_once() is True
         assert daemon.stats()["election_aware"] is False
@@ -703,7 +701,7 @@ class TestSchedulerDaemonElection:
     def test_stop_is_idempotent_and_prompt(self, clock):
         import time as time_module
 
-        service = GeleeService(shard_count=2, clock=clock)
+        service = GeleeService(clock=clock)
         # A long poll period: a prompt stop must interrupt the sleep, not
         # wait it out.
         daemon = SchedulerDaemon(service.scheduler, poll_seconds=30.0)
@@ -717,7 +715,7 @@ class TestSchedulerDaemonElection:
         service.close()
 
     def test_stop_from_the_daemon_thread_does_not_self_join(self, clock):
-        service = GeleeService(shard_count=2, clock=clock)
+        service = GeleeService(clock=clock)
         daemon = SchedulerDaemon(service.scheduler, poll_seconds=0.01)
         stopped_from_inside = threading.Event()
         original_tick = service.scheduler.tick
@@ -740,7 +738,7 @@ class TestSchedulerDaemonElection:
         service.close()
 
     def test_tick_errors_are_counted_not_fatal(self, clock):
-        service = GeleeService(shard_count=2, clock=clock)
+        service = GeleeService(clock=clock)
         service.scheduler.tick = lambda *a, **k: (_ for _ in ()).throw(
             RuntimeError("boom"))
         daemon = SchedulerDaemon(service.scheduler, poll_seconds=1.0)
@@ -760,7 +758,7 @@ class TestHttpReplicationSource:
     def build_primary(self, root, clock):
         config = PersistenceConfig(os.path.join(root, "primary"),
                                    fsync="never")
-        service = GeleeService(shard_count=4, clock=clock,
+        service = GeleeService(clock=clock,
                                persistence=config)
         ReplicationPrimary(service)
         return service
@@ -774,7 +772,7 @@ class TestHttpReplicationSource:
         with GeleeHttpServer(RestRouter(service=primary)) as server:
             source = HttpReplicationSource(server.host, server.port,
                                            follower_id="remote-replica")
-            replica = ReadReplica(source, shard_count=4, clock=clock)
+            replica = ReadReplica(source, clock=clock)
             report = replica.sync()
             assert report["applied_seq"] == primary.persistence.journal.last_seq
             assert replica.service.manager.instance_count() == 6
@@ -813,7 +811,7 @@ class TestHttpReplicationSource:
     def test_truncated_cursor_maps_to_typed_error(self, root, clock):
         config = PersistenceConfig(os.path.join(root, "primary"),
                                    fsync="never", segment_max_records=4)
-        primary = GeleeService(shard_count=4, clock=clock,
+        primary = GeleeService(clock=clock,
                                persistence=config)
         ReplicationPrimary(primary)
         model = lease_model()
@@ -838,7 +836,7 @@ class TestHttpReplicationSource:
             source.bootstrap()
 
     def test_bootstrap_route_requires_a_primary(self, clock):
-        service = GeleeService(shard_count=2, clock=clock)
+        service = GeleeService(clock=clock)
         client = GeleeClient.in_process(router=RestRouter(service=service))
         with pytest.raises(GeleeApiError) as excinfo:
             client.replication_bootstrap()

@@ -2,8 +2,8 @@
 
 The submit/complete protocol's core promises, each proven here:
 
-* a shard lock is **not** held while an action round-trip is in flight —
-  other work on the same shard proceeds concurrently;
+* the kernel lock is **not** held while an action round-trip is in
+  flight — other work on the same kernel proceeds concurrently;
 * the sync progression API still waits for outcomes (thin wrapper over
   submit + wait), so callers see pre-refactor semantics;
 * quiesce / read-only flips drain pending completions, so checkpoints and
@@ -32,7 +32,7 @@ from repro.persistence import PersistenceConfig, PersistenceCoordinator, recover
 from repro.persistence.recovery import INTERRUPTED_ERROR, fail_interrupted_invocations
 from repro.plugins import build_standard_environment
 from repro.replication import ReadReplica, ReplicationPrimary, StreamFollower
-from repro.runtime import ShardedLifecycleManager, TaskHandle, WorkerPool
+from repro.runtime import LifecycleManager, TaskHandle, WorkerPool
 from repro.service import GeleeService
 from repro.service.v2.dto import AdvanceItem
 from repro.storage import ExecutionLog
@@ -71,12 +71,11 @@ class BlockingAction:
         return self
 
 
-def build_pooled_runtime(shard_count=2, completion_workers=4, bus=None):
+def build_pooled_runtime(completion_workers=4, bus=None):
     clock = SimulatedClock()
     environment = build_standard_environment(clock=clock)
-    manager = ShardedLifecycleManager(
-        environment, shard_count=shard_count, clock=clock, bus=bus,
-        rng_seed=0, completion_workers=completion_workers)
+    manager = LifecycleManager(
+        environment, clock=clock, bus=bus, completion_workers=completion_workers)
     return environment, manager
 
 
@@ -160,10 +159,10 @@ class TestInvocationTimestamps:
 # ================================================== locks vs in-flight actions
 class TestLockNotHeldDuringDispatch:
     def test_shard_serves_other_work_while_an_action_is_in_flight(self):
-        """The tentpole invariant: with shard_count=1 *every* operation needs
-        the one shard lock, so if dispatch still held it through the
-        round-trip, the concurrent annotate below would deadlock."""
-        environment, manager = build_pooled_runtime(shard_count=1)
+        """The tentpole invariant: *every* operation needs the one kernel
+        lock, so if dispatch still held it through the round-trip, the
+        concurrent annotate below would deadlock."""
+        environment, manager = build_pooled_runtime()
         action = BlockingAction().install(environment)
         model = one_action_model()
         manager.publish_model(model, actor="admin")
@@ -181,7 +180,7 @@ class TestLockNotHeldDuringDispatch:
             invocation = blocked.all_invocations()[0]
             assert invocation.status is ActionStatus.RUNNING
 
-            # The same (only) shard must answer while the action sleeps.
+            # The kernel must answer while the action sleeps.
             done = threading.Event()
 
             def annotate():
@@ -191,7 +190,7 @@ class TestLockNotHeldDuringDispatch:
             worker = threading.Thread(target=annotate, daemon=True)
             worker.start()
             assert done.wait(timeout=5.0), \
-                "shard lock is held through the action round-trip"
+                "kernel lock is held through the action round-trip"
         finally:
             action.gate.set()
         assert manager.drain_in_flight(timeout=5.0)
@@ -202,7 +201,7 @@ class TestLockNotHeldDuringDispatch:
     def test_events_fire_dispatched_then_terminal_with_the_in_flight_window(self):
         bus = EventBus()
         recorder = EventRecorder(bus)
-        environment, manager = build_pooled_runtime(shard_count=1, bus=bus)
+        environment, manager = build_pooled_runtime(bus=bus)
         model = one_action_model()
         manager.publish_model(model, actor="admin")
         adapter = environment.adapter("Google Doc")
@@ -215,7 +214,7 @@ class TestLockNotHeldDuringDispatch:
         manager.close()
 
     def test_sync_wrappers_wait_for_submitted_outcomes(self):
-        environment, manager = build_pooled_runtime(shard_count=2)
+        environment, manager = build_pooled_runtime()
         model = one_action_model()
         manager.publish_model(model, actor="admin")
         adapter = environment.adapter("Google Doc")
@@ -230,7 +229,7 @@ class TestLockNotHeldDuringDispatch:
         manager.close()
 
     def test_quiesce_and_read_only_drain_pending_completions(self):
-        environment, manager = build_pooled_runtime(shard_count=2)
+        environment, manager = build_pooled_runtime()
         action = BlockingAction().install(environment)
         model = one_action_model()
         manager.publish_model(model, actor="admin")
@@ -260,8 +259,8 @@ class TestKillDuringInFlightRecovery:
         environment = build_standard_environment(clock=clock)
         bus = EventBus()
         log = ExecutionLog(bus=bus)
-        manager = ShardedLifecycleManager(
-            environment, shard_count=2, clock=clock, bus=bus, rng_seed=0,
+        manager = LifecycleManager(
+            environment, clock=clock, bus=bus,
             completion_workers=4)
         action = BlockingAction().install(environment)
         config = PersistenceConfig(str(tmp_path), backend="file", fsync="never")
@@ -289,8 +288,8 @@ class TestKillDuringInFlightRecovery:
         environment2 = build_standard_environment(clock=clock2)
         bus2 = EventBus()
         log2 = ExecutionLog(bus=bus2)
-        manager2 = ShardedLifecycleManager(
-            environment2, shard_count=2, clock=clock2, bus=bus2, rng_seed=0)
+        manager2 = LifecycleManager(
+            environment2, clock=clock2, bus=bus2)
         report = recover_into(manager2, log2, config.open_journal(),
                               config.open_snapshots(), config.open_store())
         assert report.invocations_interrupted == 1
@@ -311,8 +310,8 @@ class TestKillDuringInFlightRecovery:
         environment = build_standard_environment(clock=clock)
         bus = EventBus()
         log = ExecutionLog(bus=bus)
-        manager = ShardedLifecycleManager(
-            environment, shard_count=2, clock=clock, bus=bus, rng_seed=0)
+        manager = LifecycleManager(
+            environment, clock=clock, bus=bus)
         config = PersistenceConfig(str(tmp_path), backend="file", fsync="never")
         coordinator = PersistenceCoordinator(
             manager, log, config.open_journal(), config.open_snapshots(),
@@ -328,9 +327,9 @@ class TestKillDuringInFlightRecovery:
         coordinator.close()
 
         environment2 = build_standard_environment(clock=SimulatedClock())
-        manager2 = ShardedLifecycleManager(
-            environment2, shard_count=2, clock=environment2.clock,
-            bus=EventBus(), rng_seed=0)
+        manager2 = LifecycleManager(
+            environment2, clock=environment2.clock,
+            bus=EventBus())
         report = recover_into(manager2, ExecutionLog(bus=EventBus()),
                               config.open_journal(), config.open_snapshots(),
                               config.open_store())
@@ -342,8 +341,7 @@ class TestKillDuringInFlightRecovery:
 # ================================================================ service tier
 class TestServiceDispatch:
     def test_batch_advance_overlaps_round_trips_and_reports_outcomes(self):
-        service = GeleeService(shard_count=4, completion_workers=8,
-                               clock=SimulatedClock())
+        service = GeleeService(completion_workers=8, clock=SimulatedClock())
         model = one_action_model()
         service.manager.publish_model(model, actor="admin")
         adapter = service.environment.adapter("Google Doc")
@@ -361,11 +359,11 @@ class TestServiceDispatch:
         stats = service.runtime_stats()
         assert stats["dispatch_mode"] == "pooled"
         assert stats["in_flight_actions"] == 0
-        assert stats["worker_pool"]["workers"] == 12  # 4 shards + 8 completions
+        assert stats["worker_pool"]["workers"] == 8
         service.close()
 
     def test_operations_run_on_a_persistent_pool(self):
-        service = GeleeService(shard_count=2, clock=SimulatedClock())
+        service = GeleeService(clock=SimulatedClock())
         operations = [service.submit_operation(
             "test.op", lambda value=value: {"value": value})
             for value in range(8)]
@@ -392,7 +390,7 @@ class TestServiceDispatch:
 class TestJournalPush:
     def test_wait_for_seq_wakes_on_append_not_on_a_poll_interval(self, tmp_path):
         config = PersistenceConfig(str(tmp_path), backend="file", fsync="never")
-        service = GeleeService(shard_count=2, clock=SimulatedClock(),
+        service = GeleeService(clock=SimulatedClock(),
                                persistence=config)
         primary = ReplicationPrimary(service)
         model = one_action_model()
@@ -422,12 +420,12 @@ class TestJournalPush:
 
     def test_stream_follower_applies_writes_within_the_push_window(self, tmp_path):
         config = PersistenceConfig(str(tmp_path), backend="file", fsync="never")
-        service = GeleeService(shard_count=2, clock=SimulatedClock(),
+        service = GeleeService(clock=SimulatedClock(),
                                persistence=config)
         primary = ReplicationPrimary(service)
         model = one_action_model()
         service.manager.publish_model(model, actor="admin")
-        replica = ReadReplica(primary, shard_count=2, clock=SimulatedClock())
+        replica = ReadReplica(primary, clock=SimulatedClock())
         replica.sync()
         follower = StreamFollower(replica, wait_timeout=2.0).start()
         try:
@@ -454,8 +452,7 @@ class TestJournalPush:
         config = PersistenceConfig(str(tmp_path), backend="file", fsync="never")
         clock = SimulatedClock()
         environment = build_standard_environment(clock=clock)
-        service = GeleeService(environment=environment, shard_count=2,
-                               clock=clock, persistence=config,
+        service = GeleeService(environment=environment, clock=clock, persistence=config,
                                completion_workers=4)
         primary = ReplicationPrimary(service)
         action = BlockingAction().install(environment)
@@ -471,7 +468,7 @@ class TestJournalPush:
         service.manager.quiesce_drain_timeout = 0.0
         service.persistence.checkpoint()
 
-        replica = ReadReplica(primary, shard_count=2, clock=SimulatedClock())
+        replica = ReadReplica(primary, clock=SimulatedClock())
         replica.sync()
         report = replica.promote()
         assert report["invocations_interrupted"] == 1

@@ -154,6 +154,57 @@ class TestTransportBadRequests:
         assert_v2_error(status, headers, body, 400, "VALIDATION_FAILED")
 
 
+class TestRefusedBeforeRouting:
+    """Requests the stdlib would answer itself, with an HTML page, outside
+    the router: an unrouted method, a malformed request line, a header
+    block over its limits."""
+
+    def test_put_on_a_known_path_answers_the_405_envelope(self, live):
+        server = live[0]
+        status, headers, body = raw_exchange(server, "PUT", "/v2/instances", b"{}",
+                                             headers={"X-Request-Id": "req-put-1"})
+        assert_v2_error(status, headers, body, 405, "METHOD_NOT_ALLOWED")
+        assert headers["Allow"] == "GET, POST"
+        # Routed through the pipeline, the request is traced.
+        _status, _headers, trace = raw_exchange(
+            server, "GET", "/v2/runtime/traces/req-put-1")
+        root = trace["data"]["tree"][0]
+        assert (root["name"], root["attrs"]["status"]) == ("gateway.request", 405)
+
+    def test_delete_on_an_unknown_path_answers_the_404_envelope(self, live):
+        status, headers, body = raw_exchange(live[0], "DELETE", "/v2/nowhere")
+        assert_v2_error(status, headers, body, 404, "ROUTE_NOT_FOUND")
+
+    def test_head_gets_the_status_without_a_body(self, live):
+        server = live[0]
+        connection = http.client.HTTPConnection(server.host, server.port, timeout=5)
+        try:
+            connection.request("HEAD", "/v2/models")
+            response = connection.getresponse()
+            assert response.status == 405
+            assert response.read() == b""
+            # Nothing stray on the wire: the connection serves the next request.
+            connection.request("GET", "/v2/models")
+            assert connection.getresponse().status == 200
+        finally:
+            connection.close()
+
+    def test_malformed_request_line_answers_a_json_400_and_closes(self, live):
+        status, headers, body = raw_exchange(live[0], "GET", "/v2/models extra")
+        assert_v2_error(status, headers, body, 400, "BAD_REQUEST")
+        assert "Bad request syntax" in body["error"]["message"]
+        assert headers["Content-Type"] == "application/json"
+        assert headers["Connection"] == "close"
+
+    def test_too_many_headers_answers_a_json_431_and_closes(self, live):
+        headers = {"X-Filler-{}".format(index): "x" for index in range(101)}
+        status, response_headers, body = raw_exchange(
+            live[0], "GET", "/v2/models", headers=headers)
+        assert_v2_error(status, response_headers, body, 431,
+                        "REQUEST_HEADER_FIELDS_TOO_LARGE")
+        assert response_headers["Connection"] == "close"
+
+
 class TestUnexpectedFaults:
     def test_handler_fault_is_a_typed_500_counted_logged_and_traced(self, live):
         server = live[0]

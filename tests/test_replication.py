@@ -49,10 +49,10 @@ def replication_model(name="Replicated lifecycle"):
     return builder.build()
 
 
-def build_primary(root, shard_count=4, backend="file", clock=None):
+def build_primary(root, backend="file", clock=None):
     config = PersistenceConfig(os.path.join(root, "primary"), backend=backend,
                                fsync="never")
-    service = GeleeService(shard_count=shard_count, clock=clock or SimulatedClock(),
+    service = GeleeService(clock=clock or SimulatedClock(),
                            persistence=config)
     ReplicationPrimary(service)
     return config, service
@@ -174,8 +174,7 @@ class TestReadReplica:
         # Post-snapshot traffic lands in the journal tail only.
         primary.manager.advance(ids[0], actor="alice", to_phase_id="review")
 
-        replica = ReadReplica(JournalShippingSource(config), shard_count=4,
-                              clock=clock)
+        replica = ReadReplica(JournalShippingSource(config), clock=clock)
         report = replica.sync()
         status = replica.status()
         assert status["snapshot_seq"] == checkpoint["journal_seq"]
@@ -202,7 +201,7 @@ class TestReadReplica:
         model = replication_model()
         primary.manager.publish_model(model, actor="alice")
         seed_instances(primary, model, 4)
-        replica = ReadReplica(primary.replication, shard_count=4, clock=clock,
+        replica = ReadReplica(primary.replication, clock=clock,
                               replica_id="standby-1")
         replica.sync()
         status = primary.replication_status()
@@ -212,14 +211,18 @@ class TestReadReplica:
         assert status["max_follower_lag"] == 0
 
     def test_replica_shard_layout_matches_primary(self, root):
-        config, primary = build_primary(root, shard_count=4)
+        config, primary = build_primary(root)
         model = replication_model()
         primary.manager.publish_model(model, actor="alice")
         seed_instances(primary, model, 12)
-        replica = ReadReplica(JournalShippingSource(config), shard_count=4)
+        replica = ReadReplica(JournalShippingSource(config))
         replica.sync()
-        assert replica.service.manager.shard_sizes() == \
-            primary.manager.shard_sizes()
+        # One kernel per node: the layout to match is the instance set and
+        # every instance's position.
+        assert {i.instance_id: i.current_phase_id
+                for i in replica.service.manager.instances()} == \
+            {i.instance_id: i.current_phase_id
+             for i in primary.manager.instances()}
 
     def test_bootstrap_shares_one_model_object_per_version(self, root):
         config, primary = build_primary(root)
@@ -227,7 +230,7 @@ class TestReadReplica:
         primary.manager.publish_model(model, actor="alice")
         seed_instances(primary, model, 1000)
         primary.persistence.checkpoint()
-        replica = ReadReplica(JournalShippingSource(config), shard_count=4)
+        replica = ReadReplica(JournalShippingSource(config))
         assert replica.bootstrap()["instances_restored"] == 1000
         manager = replica.service.manager
         assert len({id(i.model) for i in manager.instances()}) == 1
@@ -243,7 +246,7 @@ class TestReadReplica:
         ids = seed_instances(primary, model, 6)
         primary.persistence.checkpoint()
         primary.manager.advance(ids[0], actor="alice", to_phase_id="review")
-        replica = ReadReplica(primary.replication, shard_count=4, clock=clock)
+        replica = ReadReplica(primary.replication, clock=clock)
         assert replica.bootstrap()["instances_restored"] == 0
         replica.sync()
         manager = replica.service.manager
@@ -255,7 +258,7 @@ class TestReadReplica:
 
     def test_double_bootstrap_rejected(self, root):
         config, primary = build_primary(root)
-        replica = ReadReplica(JournalShippingSource(config), shard_count=4)
+        replica = ReadReplica(JournalShippingSource(config))
         replica.bootstrap()
         with pytest.raises(ReplicationError):
             replica.bootstrap()
@@ -269,8 +272,8 @@ class TestReadOnlyServing:
         model = replication_model()
         primary.manager.publish_model(model, actor="alice")
         ids = seed_instances(primary, model, 6)
-        replica = ReadReplica(JournalShippingSource(config), shard_count=4,
-                              clock=clock, primary_hint="gelee-primary:8080")
+        replica = ReadReplica(JournalShippingSource(config), clock=clock,
+                              primary_hint="gelee-primary:8080")
         replica.sync()
         return primary, replica, ids
 
@@ -351,8 +354,7 @@ class TestPromotion:
         model = replication_model()
         primary.manager.publish_model(model, actor="alice")
         ids = seed_instances(primary, model, 3)
-        replica = ReadReplica(JournalShippingSource(config), shard_count=4,
-                              clock=clock)
+        replica = ReadReplica(JournalShippingSource(config), clock=clock)
         replica.sync()
         assert replica.service.scheduler.timers.pending_count == 3
         clock.advance(days=3)  # every Draft deadline is now overdue
@@ -369,7 +371,7 @@ class TestPromotion:
         model = replication_model()
         primary.manager.publish_model(model, actor="alice")
         ids = seed_instances(primary, model, 2)
-        replica = ReadReplica(JournalShippingSource(config), shard_count=4)
+        replica = ReadReplica(JournalShippingSource(config))
         replica.sync()
         report = replica.promote()
         assert report["promoted"] is True
@@ -388,7 +390,7 @@ class TestPromotion:
         model = replication_model()
         primary.manager.publish_model(model, actor="alice")
         seed_instances(primary, model, 2)
-        replica = ReadReplica(JournalShippingSource(config), shard_count=4)
+        replica = ReadReplica(JournalShippingSource(config))
         replica.sync()
         # Promote is the one POST the read-only guard lets through.
         response = replica.router().handle(
@@ -412,7 +414,7 @@ class TestPromotion:
         journal_head = primary.persistence.journal.last_seq
         del primary  # dies before any checkpoint: no snapshot, journal only
 
-        replica = ReadReplica(JournalShippingSource(config), shard_count=4)
+        replica = ReadReplica(JournalShippingSource(config))
         report = replica.promote()
         assert report["journal_seq"] == journal_head
         assert report["records_drained"] > 0
@@ -424,14 +426,14 @@ class TestPromotion:
         """The acceptance scenario: kill the primary mid-traffic, promote
         the standby, lose nothing that reached the journal."""
         clock = SimulatedClock()
-        config, primary = build_primary(root, shard_count=4, clock=clock)
+        config, primary = build_primary(root, clock=clock)
         model = replication_model()
         primary.manager.publish_model(model, actor="alice")
         ids = seed_instances(primary, model, 30)
         primary.persistence.checkpoint()
 
-        replica = ReadReplica(JournalShippingSource(config), shard_count=4,
-                              clock=clock, primary_hint="dead-primary")
+        replica = ReadReplica(JournalShippingSource(config), clock=clock,
+                              primary_hint="dead-primary")
         replica.sync()
 
         # Load keeps flowing after the standby's last poll: these writes
@@ -484,7 +486,7 @@ class TestPromotion:
 # ============================================================ misc plumbing
 class TestWiring:
     def test_primary_requires_persistence(self):
-        service = GeleeService(shard_count=2)
+        service = GeleeService()
         with pytest.raises(ReplicationError):
             ReplicationPrimary(service)
 
@@ -501,7 +503,7 @@ class TestWiring:
         assert GeleeClient.connect("primary", 8080).read_transport is None
 
     def test_unreplicated_service_reports_disabled(self):
-        service = GeleeService(shard_count=2)
+        service = GeleeService()
         assert service.replication_status() == {"enabled": False,
                                                 "role": "primary"}
         with pytest.raises(ReplicationError):

@@ -1,4 +1,10 @@
-"""Tests for the sharded runtime, the instance index and the batching bus."""
+"""Concurrency and bulk tests for the one locked kernel, and the batching bus.
+
+The kernel was once split into hash-routed shards behind a facade; these
+tests kept their ids when the facade folded into
+:class:`~repro.runtime.LifecycleManager`, and now run on the single manager
+with its one reentrant lock.
+"""
 
 import threading
 
@@ -8,11 +14,7 @@ from repro.clock import SimulatedClock
 from repro.errors import PropagationError, RuntimeStateError
 from repro.events import BatchingEventBus, Event, EventBus, EventRecorder
 from repro.monitoring import MonitoringCockpit
-from repro.runtime import (
-    InstanceStatus,
-    ShardedLifecycleManager,
-    shard_index_for,
-)
+from repro.runtime import InstanceStatus, LifecycleManager
 from repro.service import GeleeService, RestRouter
 from repro.service.rest import Request
 from repro.templates import eu_deliverable_lifecycle
@@ -20,7 +22,7 @@ from repro.templates import eu_deliverable_lifecycle
 
 @pytest.fixture
 def sharded(environment, clock):
-    manager = ShardedLifecycleManager(environment, shard_count=4, clock=clock)
+    manager = LifecycleManager(environment, clock=clock)
     model = eu_deliverable_lifecycle()
     manager.publish_model(model, actor="coordinator")
     return manager, model
@@ -32,31 +34,8 @@ def _docs(environment, count, owner="alice"):
             for i in range(count)]
 
 
-# ----------------------------------------------------------------- routing
+# ----------------------------------------------------------------- identity
 class TestShardRouting:
-    def test_routing_is_stable_and_in_range(self):
-        for shard_count in (1, 4, 16):
-            for instance_id in ("inst-a", "inst-b", "inst-0123456789ab"):
-                index = shard_index_for(instance_id, shard_count)
-                assert 0 <= index < shard_count
-                assert index == shard_index_for(instance_id, shard_count)
-
-    def test_instance_lands_on_the_shard_its_id_hashes_to(self, sharded, environment):
-        manager, model = sharded
-        for doc in _docs(environment, 10):
-            instance = manager.instantiate(model.uri, doc, owner="alice")
-            index = manager.shard_index(instance.instance_id)
-            shard = manager.shards[index]
-            assert shard.instance(instance.instance_id) is instance
-
-    def test_ten_thousand_ids_spread_over_all_shards(self):
-        counts = [0] * 16
-        for i in range(10_000):
-            counts[shard_index_for("inst-{:012x}".format(i), 16)] += 1
-        assert min(counts) > 0
-        # crc32 spreads roughly uniformly: no shard should be wildly off.
-        assert max(counts) < 3 * (10_000 // 16)
-
     def test_explicit_instance_id_is_honoured_and_unique(self, sharded, environment):
         manager, model = sharded
         doc = _docs(environment, 1)[0]
@@ -65,8 +44,8 @@ class TestShardRouting:
         assert instance.instance_id == "inst-fixed"
         assert manager.instance("inst-fixed") is instance
         with pytest.raises(RuntimeStateError):
-            manager.shards[manager.shard_index("inst-fixed")].instantiate(
-                model.uri, doc, owner="alice", instance_id="inst-fixed")
+            manager.instantiate(model.uri, doc, owner="alice",
+                                instance_id="inst-fixed")
 
 
 # ---------------------------------------------------------- cross-shard ops
@@ -76,7 +55,6 @@ class TestCrossShardQueries:
         created = [manager.instantiate(model.uri, doc, owner="alice")
                    for doc in _docs(environment, 20)]
         assert manager.instance_count() == 20
-        assert sum(manager.shard_sizes()) == 20
         listed = {instance.instance_id for instance in manager.instances()}
         assert listed == {instance.instance_id for instance in created}
 
@@ -119,7 +97,7 @@ class TestCrossShardQueries:
 # ------------------------------------------------------------- progression
 class TestConcurrentProgression:
     def test_threads_progress_disjoint_shards_safely(self, environment, clock):
-        manager = ShardedLifecycleManager(environment, shard_count=8, clock=clock)
+        manager = LifecycleManager(environment, clock=clock)
         model = eu_deliverable_lifecycle()
         manager.publish_model(model, actor="coordinator")
         ids = [manager.instantiate(model.uri, doc, owner="alice").instance_id
@@ -149,7 +127,7 @@ class TestConcurrentProgression:
         ids = [manager.instantiate(model.uri, doc, owner="alice").instance_id
                for doc in _docs(environment, 16)]
         results = manager.map_instances(
-            ids, lambda shard, instance_id: shard.start(instance_id, actor="alice"))
+            ids, lambda kernel, instance_id: kernel.start(instance_id, actor="alice"))
         assert [instance.instance_id for instance in results] == ids
         assert all(instance.current_phase_id == "elaboration" for instance in results)
 
@@ -157,10 +135,10 @@ class TestConcurrentProgression:
         manager, model = sharded
         ids = [manager.instantiate(model.uri, doc, owner="alice").instance_id
                for doc in _docs(environment, 4)]
-        manager.map_instances(ids, lambda shard, i: shard.start(i, actor="alice"))
+        manager.map_instances(ids, lambda kernel, i: kernel.start(i, actor="alice"))
         with pytest.raises(RuntimeStateError):
             # Starting an already-started instance fails inside the workers.
-            manager.map_instances(ids, lambda shard, i: shard.start(i, actor="alice"))
+            manager.map_instances(ids, lambda kernel, i: kernel.start(i, actor="alice"))
 
 
 # ---------------------------------------------------------- model evolution
@@ -241,12 +219,12 @@ class TestBatchingEventBus:
     def test_sharded_runtime_on_a_batching_bus_delivers_everything(self, environment, clock):
         bus = BatchingEventBus(clock=clock, max_batch=32, max_delay_seconds=3600)
         recorder = EventRecorder(bus, pattern="instance.")
-        manager = ShardedLifecycleManager(environment, shard_count=4, clock=clock, bus=bus)
+        manager = LifecycleManager(environment, clock=clock, bus=bus)
         model = eu_deliverable_lifecycle()
         manager.publish_model(model, actor="coordinator")
         ids = [manager.instantiate(model.uri, doc, owner="alice").instance_id
                for doc in _docs(environment, 10)]
-        manager.map_instances(ids, lambda shard, i: shard.start(i, actor="alice"))
+        manager.map_instances(ids, lambda kernel, i: kernel.start(i, actor="alice"))
         bus.flush()
         created = [e for e in recorder.events if e.kind == "instance.created"]
         entered = [e for e in recorder.events if e.kind == "instance.phase_entered"]
@@ -256,16 +234,10 @@ class TestBatchingEventBus:
 
 # -------------------------------------------------------------- service tier
 class TestShardedService:
-    def test_service_accepts_a_shard_count(self, clock):
-        service = GeleeService(clock=clock, shard_count=4)
-        assert isinstance(service.manager, ShardedLifecycleManager)
-        stats = service.runtime_stats()
-        assert stats["shard_count"] == 4
-        assert stats["shard_sizes"] == [0, 0, 0, 0]
-
     def test_service_accepts_an_injected_sharded_manager(self, environment, clock):
         bus = EventBus()
-        manager = ShardedLifecycleManager(environment, shard_count=2, clock=clock, bus=bus)
+        manager = LifecycleManager(environment, clock=clock, bus=bus,
+                                   completion_workers=2)
         service = GeleeService(clock=clock, manager=manager)
         assert service.manager is manager
         assert service.bus is bus
@@ -278,15 +250,12 @@ class TestShardedService:
             "D1.1", owner="alice")
         created = service.create_instance(model.uri, doc.to_dict(), owner="alice")
         assert created["status"] == "created"
-
-    def test_rest_router_builds_a_sharded_service(self, clock):
-        router = RestRouter(shard_count=4)
-        response = router.handle(Request("GET", "/runtime/stats"))
-        assert response.ok
-        assert response.body["shard_count"] == 4
+        assert service.runtime_stats()["dispatch"]["mode"] == "pooled"
+        service.close()
+        assert manager.worker_pool is None
 
     def test_sharded_service_end_to_end_over_rest(self, clock):
-        service = GeleeService(clock=clock, shard_count=4)
+        service = GeleeService(clock=clock)
         router = RestRouter(service)
         publish = router.handle(Request(
             "POST", "/templates/eu-deliverable/publish", body={"actor": "pm"}))
@@ -306,7 +275,7 @@ class TestShardedService:
         assert start.ok
         stats = router.handle(Request("GET", "/runtime/stats")).body
         assert stats["instances"] == 1
-        assert sum(stats["shard_sizes"]) == 1
+        assert stats["by_status"] == {"active": 1}
 
 
 # ------------------------------------------------------------------ bulk ops
@@ -320,8 +289,7 @@ class TestBulkRuntimeEntryPoints:
         assert len(instances) == 12
         for doc, instance in zip(docs, instances):
             assert instance.resource.uri == doc.uri
-        sizes = manager.shard_sizes()
-        assert sum(sizes) == 12 and sum(1 for size in sizes if size) > 1
+        assert manager.instance_count() == 12
 
     def test_batch_instantiate_captures_per_item_errors(self, sharded, environment):
         manager, model = sharded
@@ -352,7 +320,7 @@ class TestBulkRuntimeEntryPoints:
         ids = [instance.instance_id for instance in instances]
         ids.insert(2, "inst-missing")
         results = manager.map_instances(
-            ids, lambda shard, iid: shard.start(iid, actor="alice"),
+            ids, lambda kernel, iid: kernel.start(iid, actor="alice"),
             capture_errors=True)
         assert sum(1 for result in results if isinstance(result, BaseException)) == 1
         assert all(instance.current_phase_id == "elaboration"

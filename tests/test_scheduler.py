@@ -24,7 +24,7 @@ from repro.model import Deadline, LifecycleBuilder
 from repro.persistence import PersistenceConfig
 from repro.storage import ExecutionLog
 from repro.plugins import build_standard_environment
-from repro.runtime import LifecycleManager, ShardedLifecycleManager
+from repro.runtime import LifecycleManager
 from repro.scheduler import (
     LifecycleScheduler,
     SchedulerConfig,
@@ -51,15 +51,11 @@ def deadline_model(days=2.0, escalation="notify", name="Deadline lifecycle"):
     return builder.build()
 
 
-def build_runtime(shard_count=None, config=None, bus=None):
+def build_runtime(config=None, bus=None):
     clock = SimulatedClock()
     environment = build_standard_environment(clock=clock)
     bus = bus or EventBus()
-    if shard_count:
-        manager = ShardedLifecycleManager(environment, shard_count=shard_count,
-                                          clock=clock, bus=bus, rng_seed=0)
-    else:
-        manager = LifecycleManager(environment, clock=clock, bus=bus)
+    manager = LifecycleManager(environment, clock=clock, bus=bus)
     scheduler = LifecycleScheduler(manager, bus=bus, config=config)
     return clock, environment, bus, manager, scheduler
 
@@ -441,8 +437,7 @@ class TestDeadlineEnforcement:
         clock = SimulatedClock()
         env = build_standard_environment(clock=clock)
         bus = BatchingEventBus(max_batch=256, clock=clock)
-        manager = ShardedLifecycleManager(env, shard_count=4, clock=clock,
-                                          bus=bus, rng_seed=0)
+        manager = LifecycleManager(env, clock=clock, bus=bus)
         scheduler = LifecycleScheduler(manager, bus=bus)
         model = deadline_model(days=1.0, escalation="advance")
         manager.publish_model(model, actor="x")
@@ -606,8 +601,7 @@ class TestMaintenanceJobs:
         """The ROADMAP's 'periodic/automatic checkpoint scheduling' item."""
         clock = SimulatedClock()
         service = GeleeService(
-            clock=clock, shard_count=2,
-            persistence=PersistenceConfig(str(tmp_path), backend="sqlite"),
+            clock=clock, persistence=PersistenceConfig(str(tmp_path), backend="sqlite"),
             scheduler=SchedulerConfig(checkpoint_interval_seconds=3600,
                                       journal_rotate_interval_seconds=3600))
         model = deadline_model()
@@ -625,7 +619,7 @@ class TestMaintenanceJobs:
         service.close()
         # The checkpointed instance survives a restart.
         revived = GeleeService(
-            clock=SimulatedClock(clock.now()), shard_count=2,
+            clock=SimulatedClock(clock.now()),
             persistence=PersistenceConfig(str(tmp_path), backend="sqlite"))
         assert revived.instance_detail(instance.instance_id)[
             "current_phase_id"] == "work"
@@ -654,7 +648,7 @@ class TestSchedulerApi:
     @pytest.fixture
     def client(self):
         clock = SimulatedClock()
-        service = GeleeService(clock=clock, shard_count=2)
+        service = GeleeService(clock=clock)
         router = RestRouter(service)
         client = GeleeClient.in_process(router=router, actor="alice")
         client._clock = clock
@@ -843,7 +837,7 @@ class TestTimerDurability:
     def test_pending_timers_survive_kill_and_restart(self, tmp_path, backend):
         config = PersistenceConfig(str(tmp_path), backend=backend)
         clock = SimulatedClock()
-        service = GeleeService(clock=clock, shard_count=4, persistence=config)
+        service = GeleeService(clock=clock, persistence=config)
         model, ids = self._populate(service, clock)
         # A checkpoint covers half the story; later instances live only in
         # the journal tail, so recovery must merge manifest + replay.
@@ -860,8 +854,7 @@ class TestTimerDurability:
         service.close()
         del service  # the crash
 
-        revived = GeleeService(clock=SimulatedClock(clock.now()), shard_count=4,
-                               persistence=config)
+        revived = GeleeService(clock=SimulatedClock(clock.now()), persistence=config)
         assert revived.recovery_report.timers_restored + \
             revived.recovery_report.timer_records_replayed > 0
         restored = {t.timer_id: t.fire_at

@@ -553,7 +553,8 @@ class TestV1Satellites:
 
 class TestShardedBulk:
     def test_bulk_fans_out_across_shards(self, clock):
-        router = RestRouter(shard_count=4)
+        """Bulk create + advance over REST, each one drain of the kernel."""
+        router = RestRouter()
         service = router.service
         model_uri = router.post("/v2/templates/eu-deliverable:publish",
                                 actor="pm").body["data"]["uri"]
@@ -566,11 +567,9 @@ class TestShardedBulk:
                               body={"items": items})
         assert created.body["data"]["succeeded"] == 20
         ids = [result["instance_id"] for result in created.body["data"]["results"]]
-        # Instances really landed on multiple shards.
-        sizes = service.manager.shard_sizes()
-        assert sum(sizes) == 20 and sum(1 for size in sizes if size) > 1
+        assert service.manager.instance_count() == 20
         advanced = router.post("/v2/instances:batchAdvance", actor="alice",
                                body={"items": ids})
         assert advanced.body["data"]["succeeded"] == 20
         stats = router.get("/v2/runtime/stats").body["data"]
-        assert stats["shard_count"] == 4
+        assert stats["instances"] == 20

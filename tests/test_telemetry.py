@@ -318,7 +318,7 @@ class TestGatewayObservability:
 class TestTracePropagation:
     def test_origin_request_id_reaches_journal_and_replica(self, root):
         config = PersistenceConfig(os.path.join(root, "primary"), fsync="never")
-        service = GeleeService(shard_count=2, clock=SimulatedClock(),
+        service = GeleeService(clock=SimulatedClock(),
                                persistence=config)
         ReplicationPrimary(service)
         model = simple_model()
@@ -332,8 +332,7 @@ class TestTracePropagation:
                    if record.payload.get("origin_request_id") == request_id]
         assert records, "journal record should carry the gateway request id"
 
-        replica = ReadReplica(JournalShippingSource(config), shard_count=2,
-                              clock=SimulatedClock())
+        replica = ReadReplica(JournalShippingSource(config), clock=SimulatedClock())
         replica.sync()
         entries = [entry for entry in replica.service.execution_log.entries()
                    if entry.payload.get("origin_request_id") == request_id]
@@ -341,7 +340,7 @@ class TestTracePropagation:
         service.close()
 
     def test_dispatcher_carries_trace_across_worker_pool(self):
-        service = GeleeService(shard_count=2, clock=SimulatedClock(),
+        service = GeleeService(clock=SimulatedClock(),
                                completion_workers=2)
         model = simple_model()
         service.manager.publish_model(model, actor="alice")
@@ -358,7 +357,7 @@ class TestTracePropagation:
         service.close()
 
     def test_scheduler_tick_gets_tick_origin(self, fresh_registry):
-        service = GeleeService(shard_count=2, clock=SimulatedClock())
+        service = GeleeService(clock=SimulatedClock())
         captured = []
         original = service.scheduler.timers.fire_due
 
@@ -375,7 +374,7 @@ class TestTracePropagation:
 # ============================================================== wire surface
 class TestTelemetryRoutes:
     def test_metrics_route_is_plain_text(self, fresh_registry):
-        router = RestRouter(shard_count=2)
+        router = RestRouter()
         response = router.get("/v2/metrics")
         assert response.status == 200
         assert response.headers["Content-Type"].startswith("text/plain")
@@ -385,7 +384,7 @@ class TestTelemetryRoutes:
         assert "gelee_dispatch_in_flight 0" in response.body
 
     def test_telemetry_route_returns_envelope_snapshot(self):
-        router = RestRouter(shard_count=2)
+        router = RestRouter()
         response = router.get("/v2/runtime/telemetry")
         assert response.status == 200
         data = response.body["data"]
@@ -396,15 +395,14 @@ class TestTelemetryRoutes:
 
     def test_metrics_on_primary_and_replica(self, root):
         config = PersistenceConfig(os.path.join(root, "primary"), fsync="never")
-        service = GeleeService(shard_count=2, clock=SimulatedClock(),
+        service = GeleeService(clock=SimulatedClock(),
                                persistence=config)
         ReplicationPrimary(service)
         model = simple_model()
         primary_router = RestRouter(service=service)
         primary_router.post("/v2/models", body={"model": model.to_dict()},
                             actor="alice")
-        replica = ReadReplica(JournalShippingSource(config), shard_count=2,
-                              clock=SimulatedClock())
+        replica = ReadReplica(JournalShippingSource(config), clock=SimulatedClock())
         replica.sync()
         primary_text = primary_router.get("/v2/metrics").body
         assert "gelee_journal_last_seq" in primary_text
@@ -414,7 +412,7 @@ class TestTelemetryRoutes:
         service.close()
 
     def test_monitoring_summary_includes_telemetry_section(self):
-        router = RestRouter(shard_count=2)
+        router = RestRouter()
         router.get("/v2/models")
         summary = router.get("/v2/monitoring/summary").body["data"]
         rollup = summary["telemetry"]
@@ -422,7 +420,7 @@ class TestTelemetryRoutes:
         assert rollup["api_requests"] >= 1
 
     def test_client_sdk_metrics_and_telemetry(self):
-        client = GeleeClient.in_process(shard_count=2, actor="alice")
+        client = GeleeClient.in_process(actor="alice")
         text = client.metrics()
         assert isinstance(text, str)
         assert "# TYPE gelee_api_request_seconds histogram" in text
@@ -445,7 +443,7 @@ class TestRuntimeStatsSchema:
         service.close()
 
     def test_sharded_pooled_schema_surfaces_queue_depth(self):
-        service = GeleeService(shard_count=4, clock=SimulatedClock(),
+        service = GeleeService(clock=SimulatedClock(),
                                completion_workers=2)
         stats = service.runtime_stats()
         assert set(stats["dispatch"]) == self.DISPATCH_KEYS
@@ -749,7 +747,7 @@ class TestSpanPipeline:
         """The acceptance path: one X-Request-Id retrieves a tree with
         gateway → shard → dispatch wait/execute → journal append spans."""
         config = PersistenceConfig(os.path.join(root, "primary"), fsync="never")
-        service = GeleeService(shard_count=4, persistence=config,
+        service = GeleeService(persistence=config,
                                completion_workers=2)
         try:
             model = action_model()
@@ -788,7 +786,7 @@ class TestSpanPipeline:
             service.close()
 
     def test_traces_listing_route_and_not_found(self, fresh_span_store):
-        router = RestRouter(shard_count=2)
+        router = RestRouter()
         response = router.get("/v2/models")
         request_id = response.headers["X-Request-Id"]
         listing = router.get("/v2/runtime/traces", limit=5)
@@ -804,7 +802,7 @@ class TestSpanPipeline:
             self, fresh_span_store):
         """Satellite: spans opened on pooled completion workers land in
         the submitting request's trace, parented across the hop."""
-        service = GeleeService(shard_count=2, completion_workers=2)
+        service = GeleeService(completion_workers=2)
         try:
             model = action_model()
             service.manager.install_model(model)
@@ -830,7 +828,7 @@ class TestSpanPipeline:
         are spanned under the origin request id, and the trace is
         retrievable from the promoted node after failover."""
         config = PersistenceConfig(os.path.join(root, "primary"), fsync="never")
-        service = GeleeService(shard_count=2, clock=SimulatedClock(),
+        service = GeleeService(clock=SimulatedClock(),
                                persistence=config)
         ReplicationPrimary(service)
         model = simple_model()
@@ -839,8 +837,7 @@ class TestSpanPipeline:
                                actor="alice")
         request_id = response.headers["X-Request-Id"]
 
-        replica = ReadReplica(JournalShippingSource(config), shard_count=2,
-                              clock=SimulatedClock())
+        replica = ReadReplica(JournalShippingSource(config), clock=SimulatedClock())
         replica.sync()
         doc = fresh_span_store.trace(request_id)
         applies = [span for span in doc["spans"]
@@ -1012,7 +1009,7 @@ class TestAlertSurface:
 
     def test_alert_events_are_published_and_journaled(self, root):
         config = PersistenceConfig(os.path.join(root, "primary"), fsync="never")
-        service = GeleeService(shard_count=2, clock=SimulatedClock(),
+        service = GeleeService(clock=SimulatedClock(),
                                persistence=config,
                                slo_rules=[self._breach_rule()])
         try:
@@ -1038,7 +1035,7 @@ class TestAlertSurface:
             service.close()
 
     def test_alerts_route_and_cockpit_rollup(self):
-        service = GeleeService(shard_count=2, clock=SimulatedClock(),
+        service = GeleeService(clock=SimulatedClock(),
                                slo_rules=[self._breach_rule()])
         try:
             router = RestRouter(service=service)
@@ -1062,7 +1059,7 @@ class TestAlertSurface:
         from repro.scheduler import SchedulerConfig
 
         clock = SimulatedClock()
-        service = GeleeService(shard_count=2, clock=clock,
+        service = GeleeService(clock=clock,
                                scheduler=SchedulerConfig(
                                    slo_interval_seconds=30.0),
                                slo_rules=[self._breach_rule()])
@@ -1078,7 +1075,7 @@ class TestAlertSurface:
             service.close()
 
     def test_client_sdk_traces_and_alerts(self, fresh_span_store):
-        client = GeleeClient.in_process(shard_count=2, actor="alice")
+        client = GeleeClient.in_process(actor="alice")
         client.list_models()
         listing = client.traces(limit=3)
         assert listing["store"]["enabled"] is True
@@ -1094,7 +1091,7 @@ class TestAlertSurface:
 
     def test_telemetry_snapshot_is_stamped(self, root):
         clock = SimulatedClock()
-        service = GeleeService(shard_count=2, clock=clock)
+        service = GeleeService(clock=clock)
         try:
             router = RestRouter(service=service)
             data = router.get("/v2/runtime/telemetry").body["data"]
@@ -1108,7 +1105,7 @@ class TestAlertSurface:
 
         config = PersistenceConfig(os.path.join(root, "primary"), fsync="never")
         service = GeleeService(
-            shard_count=2, clock=SimulatedClock(), persistence=config,
+            clock=SimulatedClock(), persistence=config,
             coordination=CoordinationConfig(
                 node_id="node-a", directory=os.path.join(root, "coord")))
         try:
@@ -1591,7 +1588,7 @@ class TestSamplingProfiler:
 # ================================================================ cluster view
 class TestClusterView:
     def test_single_node_view(self):
-        router = RestRouter(shard_count=2)
+        router = RestRouter()
         data = router.get("/v2/runtime/cluster").body["data"]
         assert data["partial"] is False
         assert data["node_count"] == 1
@@ -1603,8 +1600,8 @@ class TestClusterView:
         assert "history" in row["observability"] and "alerts" in row
 
     def test_two_nodes_merge_in_process(self):
-        router_a = RestRouter(shard_count=2)
-        router_b = RestRouter(shard_count=2)
+        router_a = RestRouter()
+        router_b = RestRouter()
         router_a.service.cluster_register("node-b", router=router_b)
         data = router_a.get("/v2/runtime/cluster").body["data"]
         assert data["node_count"] == 2
@@ -1613,7 +1610,7 @@ class TestClusterView:
         assert via == {"self", "in-process"}
 
     def test_unreachable_peer_marks_partial_not_error(self):
-        router = RestRouter(shard_count=2)
+        router = RestRouter()
         router.service.cluster_register("dead-node", host="127.0.0.1", port=9)
         response = router.get("/v2/runtime/cluster")
         assert response.status == 200  # fan-out never fails the view
@@ -1627,7 +1624,7 @@ class TestClusterView:
         assert dead["error"]["details"]["node_id"] == "dead-node"
 
     def test_register_route_and_validation(self):
-        router = RestRouter(shard_count=2)
+        router = RestRouter()
         created = router.post("/v2/runtime/cluster:register",
                               body={"node_id": "peer-1",
                                     "url": "http://127.0.0.1:9"})
@@ -1642,8 +1639,8 @@ class TestClusterView:
         assert bad_url.status == 400
 
     def test_replacing_a_peer_registration(self):
-        router = RestRouter(shard_count=2)
-        other = RestRouter(shard_count=2)
+        router = RestRouter()
+        other = RestRouter()
         view = router.service.cluster
         view.register("peer", router=other)
         assert view.peers()[0]["transport"] == "in-process"
@@ -1659,7 +1656,7 @@ class TestClusterView:
         config = PersistenceConfig(os.path.join(root, "primary"),
                                    fsync="never")
         service = GeleeService(
-            shard_count=2, clock=SimulatedClock(), persistence=config,
+            clock=SimulatedClock(), persistence=config,
             coordination=CoordinationConfig(store=store, node_id="node-a"))
         try:
             router = RestRouter(service=service)
@@ -1714,7 +1711,7 @@ class TestClusterView:
 class TestObservabilityRoutes:
     def test_history_route_capture_and_query(self):
         clock = SimulatedClock()
-        service = GeleeService(shard_count=2, clock=clock)
+        service = GeleeService(clock=clock)
         try:
             router = RestRouter(service=service)
             router.get("/v2/models")
@@ -1748,7 +1745,7 @@ class TestObservabilityRoutes:
 
         clock = SimulatedClock()
         service = GeleeService(
-            shard_count=2, clock=clock,
+            clock=clock,
             scheduler=SchedulerConfig(history_interval_seconds=30))
         try:
             router = RestRouter(service=service)
@@ -1763,7 +1760,7 @@ class TestObservabilityRoutes:
             service.close()
 
     def test_logs_route_filters_by_trace_id(self, fresh_log_ring):
-        router = RestRouter(shard_count=2)
+        router = RestRouter()
         response = router.get("/v2/models")
         request_id = response.headers["X-Request-Id"]
         data = router.get("/v2/runtime/logs",
@@ -1779,14 +1776,14 @@ class TestObservabilityRoutes:
         assert bad.status == 400
 
     def test_gateway_client_errors_still_log_at_info(self, fresh_log_ring):
-        router = RestRouter(shard_count=2)
+        router = RestRouter()
         router.get("/v2/instances/i-missing")
         records = fresh_log_ring.query(component="gateway")
         assert records[-1]["status"] == 404
         assert records[-1]["level"] == "info"
 
     def test_profile_routes(self):
-        router = RestRouter(shard_count=2)
+        router = RestRouter()
         idle = router.get("/v2/runtime/profile").body["data"]
         assert idle["running"] is False and idle["samples"] == 0
         started = router.post("/v2/runtime/profile:start",
@@ -1801,11 +1798,10 @@ class TestObservabilityRoutes:
     def test_replica_serves_observability_posts(self, root):
         config = PersistenceConfig(os.path.join(root, "primary"),
                                    fsync="never")
-        service = GeleeService(shard_count=2, clock=SimulatedClock(),
+        service = GeleeService(clock=SimulatedClock(),
                                persistence=config)
         ReplicationPrimary(service)
-        replica = ReadReplica(JournalShippingSource(config), shard_count=2,
-                              clock=SimulatedClock())
+        replica = ReadReplica(JournalShippingSource(config), clock=SimulatedClock())
         replica.sync()
         router = replica.router()
         assert router.post(
@@ -1818,7 +1814,7 @@ class TestObservabilityRoutes:
         service.close()
 
     def test_monitoring_summary_observability_section(self):
-        router = RestRouter(shard_count=2)
+        router = RestRouter()
         router.post("/v2/runtime/telemetry/history:capture")
         summary = router.get("/v2/monitoring/summary").body["data"]
         rollup = summary["observability"]
@@ -1827,7 +1823,7 @@ class TestObservabilityRoutes:
         assert rollup["profiler"]["running"] is False
 
     def test_client_sdk_observability_methods(self):
-        client = GeleeClient.in_process(shard_count=2, actor="alice")
+        client = GeleeClient.in_process(actor="alice")
         client.capture_history()
         history = client.telemetry_history(series="gelee_api_requests_total")
         assert history["captures"] == 1
