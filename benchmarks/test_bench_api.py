@@ -16,11 +16,12 @@ Run with ``python -m repro.benchrunner api``; results are printed and
 appended to ``BENCH_api.json``.
 """
 
+import statistics
 import time
 
 from repro.actions import library
 from repro.clock import SimulatedClock
-from repro.events import BatchingEventBus
+from repro.events import EventBus
 from repro.model import LifecycleBuilder
 from repro.plugins import build_standard_environment
 from repro.runtime import LifecycleManager
@@ -33,6 +34,11 @@ OWNERS = 100
 PAGE_SIZE = 100
 #: Simulated action round-trip, uniform seconds (reproducible: seeded rng).
 ACTION_LATENCY = (0.00015, 0.0003)
+#: Completion-pool threads: batchAdvance overlaps the action round-trips
+#: on them, while each v1 call waits for its own.
+COMPLETION_WORKERS = 16
+#: Fresh cohorts per dialect; the gate compares the medians.
+ROUNDS = 3
 #: batchAdvance must beat the per-call v1 loop by at least this factor.
 REQUIRED_SPEEDUP = 3.0
 
@@ -50,13 +56,14 @@ def _bench_model():
 
 
 def _deploy():
-    """A hosted deployment with simulated action latency."""
+    """A hosted deployment with simulated action latency and pooled
+    completions."""
     clock = SimulatedClock()
     environment = build_standard_environment(clock=clock)
     manager = LifecycleManager(
-        environment, clock=clock,
-        bus=BatchingEventBus(max_batch=256),
-        simulated_action_latency=ACTION_LATENCY)
+        environment, clock=clock, bus=EventBus(),
+        simulated_action_latency=ACTION_LATENCY,
+        completion_workers=COMPLETION_WORKERS)
     service = GeleeService(manager=manager, clock=clock)
     router = RestRouter(service)
     model = _bench_model()
@@ -83,8 +90,8 @@ def test_bench_batch_advance_vs_v1_loop():
 
     # Advancing an unstarted instance places the token on the initial phase,
     # so every cohort runs the same kernel work (enter "work", dispatch its
-    # actions).  Each dialect is measured on two fresh cohorts and the best
-    # round is kept — the fan-out result is sensitive to OS scheduling noise.
+    # actions).  Each dialect is measured on ROUNDS fresh cohorts and the
+    # median round is kept, so one lucky or unlucky round cannot decide it.
     def run_v1():
         ids = _populate(manager, environment, model, INSTANCES)
         started = time.perf_counter()
@@ -105,17 +112,22 @@ def test_bench_batch_advance_vs_v1_loop():
         assert response.body["data"]["failed"] == 0
         return elapsed
 
-    v1_elapsed = min(run_v1() for _ in range(2))
+    try:
+        v1_elapsed = statistics.median(run_v1() for _ in range(ROUNDS))
+        v2_elapsed = statistics.median(run_v2() for _ in range(ROUNDS))
+    finally:
+        service.close()
     v1_ops = INSTANCES / v1_elapsed
-    v2_elapsed = min(run_v2() for _ in range(2))
     v2_ops = INSTANCES / v2_elapsed
 
     speedup = v2_ops / v1_ops
     report(
         "E13 — v2 bulk progression vs the per-call v1 loop",
         [
-            "workload: {} instances, action latency {:.2f}-{:.2f} ms".format(
-                INSTANCES, ACTION_LATENCY[0] * 1000, ACTION_LATENCY[1] * 1000),
+            "workload: {} instances, action latency {:.2f}-{:.2f} ms, "
+            "{} completion workers, median of {} rounds".format(
+                INSTANCES, ACTION_LATENCY[0] * 1000, ACTION_LATENCY[1] * 1000,
+                COMPLETION_WORKERS, ROUNDS),
             "v1 per-call loop   : {:7.2f}s  {:8.0f} ops/s  (baseline)".format(
                 v1_elapsed, v1_ops),
             "v2 batchAdvance    : {:7.2f}s  {:8.0f} ops/s  ({:4.2f}x)".format(
@@ -127,6 +139,8 @@ def test_bench_batch_advance_vs_v1_loop():
             "experiment": "batch_advance_vs_v1_loop",
             "instances": INSTANCES,
             "action_latency_seconds": list(ACTION_LATENCY),
+            "completion_workers": COMPLETION_WORKERS,
+            "rounds": ROUNDS,
             "v1_loop": {"elapsed_s": round(v1_elapsed, 4),
                         "ops_per_s": round(v1_ops, 1)},
             "v2_batch_advance": {"elapsed_s": round(v2_elapsed, 4),
@@ -193,5 +207,6 @@ def test_bench_paginated_listing_vs_full_scan():
             "v1_full_listing_ms": round(full_ms, 3),
         },
     )
+    service.close()
     # The filtered page must not pay for the whole corpus.
     assert paged_ms < full_ms

@@ -13,7 +13,9 @@ quantifies what durability costs and what recovery buys:
 * **cold-recovery time** — rebuilding all 10k instances (snapshot + journal
   tail) into a fresh manager, per backend.
 
-Results are printed and appended to ``BENCH_persistence.json``.
+Results are printed and appended to ``BENCH_persistence.json``.  Size via
+``BENCH_PERSISTENCE_INSTANCES`` (default 10000) so CI can smoke-run a small
+deployment through the same checkpoint and recovery path.
 """
 
 import os
@@ -23,7 +25,7 @@ import time
 
 from repro.actions import library
 from repro.clock import SimulatedClock
-from repro.events import BatchingEventBus
+from repro.events import EventBus
 from repro.model import LifecycleBuilder
 from repro.persistence import PersistenceConfig, PersistenceCoordinator, recover_into
 from repro.plugins import build_standard_environment
@@ -32,7 +34,7 @@ from repro.storage import ExecutionLog
 
 from .conftest import report
 
-INSTANCES = 10_000
+INSTANCES = int(os.environ.get("BENCH_PERSISTENCE_INSTANCES", "10000"))
 
 
 def _bench_model():
@@ -49,14 +51,14 @@ def _bench_model():
 def _build_runtime():
     clock = SimulatedClock()
     environment = build_standard_environment(clock=clock)
-    bus = BatchingEventBus(max_batch=256)
+    bus = EventBus()
     log = ExecutionLog(bus=bus)
     manager = LifecycleManager(environment, clock=clock, bus=bus)
     return environment, bus, log, manager
 
 
 def _run_workload(environment, manager):
-    """10k instances created and started, then half advanced: 2.5 ops each."""
+    """``INSTANCES`` created and started, then half advanced: 2.5 ops each."""
     model = _bench_model()
     manager.publish_model(model, actor="coordinator")
     adapter = environment.adapter("Google Doc")
@@ -86,7 +88,6 @@ def test_bench_persistence_overhead_checkpoint_recovery():
         # -- baseline: no persistence at all --------------------------------
         environment, bus, log, manager = _build_runtime()
         base_elapsed, base_ops, _ = _run_workload(environment, manager)
-        bus.flush()
         rows.append("no persistence   : {:6.2f}s  {:8.0f} ops/s  (baseline)".format(
             base_elapsed, base_ops))
         data["journal"]["none"] = {"elapsed_s": round(base_elapsed, 4),
@@ -101,7 +102,6 @@ def test_bench_persistence_overhead_checkpoint_recovery():
                 manager, log, config.open_journal(), config.open_snapshots(),
                 config.open_store(), bus=bus)
             elapsed, ops, _ = _run_workload(environment, manager)
-            bus.flush()
             overhead_us = (elapsed - base_elapsed) / (INSTANCES * 2.5) * 1e6
             rows.append(
                 "fsync={:8s}: {:6.2f}s  {:8.0f} ops/s  ({:+5.1f} us/op, {:.2f}x)".format(
@@ -123,7 +123,6 @@ def test_bench_persistence_overhead_checkpoint_recovery():
                 manager, log, config.open_journal(), config.open_snapshots(),
                 config.open_store(), bus=bus)
             _run_workload(environment, manager)
-            bus.flush()
             checkpoint = coordinator.checkpoint()
             rows.append("checkpoint {:6s}: {:7.0f} ms for {} instances".format(
                 backend, checkpoint["duration_ms"], checkpoint["instances_flushed"]))

@@ -24,7 +24,7 @@ import os
 import time
 
 from repro.clock import SimulatedClock
-from repro.events import BatchingEventBus
+from repro.events import EventBus
 from repro.model import LifecycleBuilder
 from repro.plugins import build_standard_environment
 from repro.runtime import LifecycleManager
@@ -50,7 +50,7 @@ def _deadline_model():
 def _build_runtime():
     clock = SimulatedClock()
     environment = build_standard_environment(clock=clock)
-    bus = BatchingEventBus(max_batch=256, clock=clock)
+    bus = EventBus()
     log = ExecutionLog(bus=bus, max_entries=200_000)
     manager = LifecycleManager(environment, clock=clock, bus=bus)
     scheduler = LifecycleScheduler(manager, bus=bus)
@@ -73,7 +73,6 @@ def test_scheduler_throughput_and_drift():
     started = time.perf_counter()
     ids = [instance.instance_id for instance in manager.batch_instantiate(requests)]
     manager.map_instances(ids, lambda kernel, iid: kernel.start(iid, actor="alice"))
-    bus.flush()
     arm_elapsed = time.perf_counter() - started
     armed = scheduler.timers.pending_count
     assert armed == INSTANCES
@@ -82,7 +81,6 @@ def test_scheduler_throughput_and_drift():
     clock.advance(days=DEADLINE_DAYS, hours=1)
     started = time.perf_counter()
     firings = scheduler.tick()
-    bus.flush()
     fire_elapsed = time.perf_counter() - started
     assert len(firings) == INSTANCES
     assert all(firing.handled for firing in firings)

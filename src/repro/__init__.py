@@ -25,7 +25,7 @@ Quickstart::
 
 from .clock import Clock, SimulatedClock, SystemClock
 from .errors import GeleeError
-from .events import BatchingEventBus, Event, EventBus, EventRecorder
+from .events import Event, EventBus, EventRecorder
 from .model import (
     ActionCall,
     Annotation,
@@ -62,7 +62,6 @@ __all__ = [
     "GeleeError",
     "Event",
     "EventBus",
-    "BatchingEventBus",
     "EventRecorder",
     "ActionCall",
     "Annotation",

@@ -1,4 +1,4 @@
-"""The kernel event buses.
+"""The kernel event bus.
 
 Fig. 2 of the paper shows the lifecycle manager receiving "lifecycle instance
 events (progression from phase to phase …) sent by the lifecycle execution
@@ -6,15 +6,12 @@ widgets, and action execution results, sent by resource plug-ins".  Internally
 we model that message flow with an event bus: the runtime publishes events,
 and the execution log, the monitoring cockpit and the widgets subscribe.
 
-Events are plain, immutable records.  Two bus flavours are provided:
-
-* :class:`EventBus` — synchronous, in-process delivery; every ``publish``
-  dispatches immediately.  Thread-safe, so concurrent publishers (the
-  kernel, the scheduler, the coordination layer) can share it.
-* :class:`BatchingEventBus` — buffers publishes and flushes them in order
-  when a size or time threshold is crossed (the time source is the injected
-  :class:`~repro.clock.Clock`).  Coalescing dispatch keeps the hot
-  progression path cheap when every token move emits a handful of events.
+Events are plain, immutable records.  :class:`EventBus` delivers them
+synchronously: every ``publish`` runs the matching subscribers before it
+returns, so a subscriber's work (a journal append, a timer arm, a log entry)
+is done when the kernel call that published the event returns.  The bus is
+thread-safe, so concurrent publishers (the kernel, the scheduler, the
+coordination layer) can share it.
 
 The hosted/remote transport is layered on top by :mod:`repro.service`.
 """
@@ -23,10 +20,8 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta
+from datetime import datetime
 from typing import Callable, Dict, List, Optional
-
-from .clock import Clock
 
 
 @dataclass(frozen=True)
@@ -139,130 +134,6 @@ class EventBus:
         if pattern.endswith("."):
             return kind.startswith(pattern)
         return pattern == kind
-
-
-class BatchingEventBus(EventBus):
-    """An event bus that coalesces publishes into ordered batches.
-
-    ``publish`` appends to a buffer instead of dispatching immediately; the
-    buffer is flushed — preserving publish order — when it reaches
-    ``max_batch`` events, when ``max_delay_seconds`` have elapsed on the
-    injected ``clock`` since the oldest buffered event, or when
-    :meth:`flush` is called explicitly.
-
-    There is no background thread: the time threshold is evaluated on each
-    publish against the injected :class:`~repro.clock.Clock`, so a
-    :class:`~repro.clock.SimulatedClock` drives flushes deterministically in
-    tests and benchmarks.  Call :meth:`flush` (or use the bus as a context
-    manager) before reading subscriber state that must include the tail of
-    the stream.
-
-    Subscriber kind-matching is resolved once per distinct event kind and
-    cached, which makes the flush loop a straight walk over pre-matched
-    handler lists — measurably cheaper than per-event pattern matching when
-    the runtime emits millions of progression events.
-    """
-
-    def __init__(self, strict: bool = False, clock: Clock = None,
-                 max_batch: int = 64, max_delay_seconds: float = 0.05):
-        super().__init__(strict=strict)
-        if max_batch < 1:
-            raise ValueError("max_batch must be at least 1")
-        self._clock = clock
-        self._max_batch = max_batch
-        self._max_delay = timedelta(seconds=max_delay_seconds)
-        self._buffer: List[Event] = []
-        self._oldest_at: Optional[datetime] = None
-        self._match_cache: Dict[str, List[Callable[[Event], None]]] = {}
-        self._flushed_batches = 0
-        # Serialises take+deliver so concurrent publishers cannot interleave
-        # batches and break the publish-order guarantee.  Reentrant: a
-        # handler publishing back into the bus may trigger a nested flush.
-        self._flush_lock = threading.RLock()
-
-    # ------------------------------------------------------------------- stats
-    @property
-    def pending_count(self) -> int:
-        """Events buffered but not yet delivered."""
-        return len(self._buffer)
-
-    @property
-    def flushed_batches(self) -> int:
-        """Number of batches delivered so far."""
-        return self._flushed_batches
-
-    # ---------------------------------------------------------------- lifecycle
-    def subscribe(self, kind: str, handler: Callable[[Event], None]) -> Callable[[], None]:
-        unsubscribe = super().subscribe(kind, handler)
-        with self._lock:
-            self._match_cache.clear()
-
-        def unsubscribe_and_invalidate():
-            unsubscribe()
-            with self._lock:
-                self._match_cache.clear()
-
-        return unsubscribe_and_invalidate
-
-    def publish(self, event: Event) -> None:
-        """Buffer ``event``; flush if the size or time threshold is crossed."""
-        with self._lock:
-            self._published += 1
-            self._buffer.append(event)
-            if self._oldest_at is None:
-                self._oldest_at = self._timestamp_of(event)
-            should_flush = self._should_flush(event)
-        if should_flush:
-            self.flush()
-
-    def flush(self) -> int:
-        """Deliver every buffered event now; returns how many were delivered.
-
-        Flushes are serialised: the batch is taken and delivered under one
-        flush lock, so events published by concurrent threads reach the
-        subscribers in a single global order.
-        """
-        with self._flush_lock:
-            with self._lock:
-                batch = self._take_batch()
-            self._deliver_batch(batch)
-        return len(batch)
-
-    def __enter__(self) -> "BatchingEventBus":
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        self.flush()
-
-    # ------------------------------------------------------------------ internal
-    def _timestamp_of(self, event: Event) -> datetime:
-        if self._clock is not None:
-            return self._clock.now()
-        return event.timestamp
-
-    def _should_flush(self, newest: Event) -> bool:
-        if len(self._buffer) >= self._max_batch:
-            return True
-        if self._oldest_at is None:
-            return False
-        return (self._timestamp_of(newest) - self._oldest_at) >= self._max_delay
-
-    def _take_batch(self) -> List[Event]:
-        batch = self._buffer
-        self._buffer = []
-        self._oldest_at = None
-        if batch:
-            self._flushed_batches += 1
-        return batch
-
-    def _deliver_batch(self, batch: List[Event]) -> None:
-        for event in batch:
-            with self._lock:
-                handlers = self._match_cache.get(event.kind)
-                if handlers is None:
-                    handlers = self._matching_handlers(event.kind)
-                    self._match_cache[event.kind] = handlers
-            self._deliver(event, handlers)
 
 
 class EventRecorder:

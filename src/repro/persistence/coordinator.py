@@ -2,10 +2,9 @@
 
 The coordinator subscribes to the kernel :class:`~repro.events.EventBus`
 (``"*"``) and appends every event to the write-ahead
-:class:`~repro.persistence.journal.Journal` as it is delivered — with a
-:class:`~repro.events.BatchingEventBus` in front, journal appends ride the
-batched flushes, so the hot progression path pays one buffered append per
-event instead of a synchronous disk round-trip.
+:class:`~repro.persistence.journal.Journal` as it is delivered.  Delivery is
+synchronous, so an operation's records are in the journal when the kernel
+call that made them returns.
 
 A few event kinds are *enriched* with durable state the raw event does not
 carry, so journal replay is self-contained:
@@ -220,9 +219,8 @@ class PersistenceCoordinator:
 
         Best effort — enrichment failures must never fail the publishing
         operation.  Instance lookups go through the *lock-free*
-        ``peek_instance``: on a batching bus this handler can run on a
-        thread flushing the batch while a writer that holds the kernel lock
-        waits for that flush, so taking the kernel lock here would deadlock.
+        ``peek_instance``: the kernel publishes while holding its lock, so
+        this handler already runs inside the critical section.
         """
         try:
             if event.kind in ("model.published", "model.updated"):
@@ -240,16 +238,14 @@ class PersistenceCoordinator:
                     event.payload["model_uri"],
                     version=event.payload.get("to_version"))
                 return {"model": model.to_dict()}
-        except Exception:  # noqa: BLE001 - any failure degrades to no enrichment;
-            # the lock-free peek can observe concurrent mutation mid-copy, and
-            # a lost enrichment beats a lost journal record.
+        except Exception:  # noqa: BLE001 - a lost enrichment beats a lost
+            # journal record.
             return None
         return None
 
     def _creation_state(self, event: Event) -> Optional[Dict[str, Any]]:
         """Creation-time facts only — progression is replayed from its own
-        events, so the rebuilt instance starts unstarted even if delivery
-        was batched and the live instance has already moved on."""
+        events, so the rebuilt instance starts unstarted."""
         instance = self._manager.peek_instance(event.subject_id)
         if instance is None:
             return None
@@ -282,19 +278,11 @@ class PersistenceCoordinator:
             raise ServiceError("the persistence coordinator is closed")
         started = time.perf_counter()
         with self._checkpoint_lock:
-            # Drain batched events early to shorten the stop-the-world window...
-            if hasattr(self._bus, "flush"):
-                self._bus.flush()
             with self._manager.quiesce():
-                # ...and again *inside* the quiesce: a writer may have slipped
-                # a mutation in (buffering its events) between the flush above
-                # and the lock acquisition.  With the kernel lock held no new
-                # event can be published, so after this flush the captured seq
-                # provably covers every mutation the captured documents
-                # contain — otherwise replay would re-apply those events on
-                # top of the newer state.
-                if hasattr(self._bus, "flush"):
-                    self._bus.flush()
+                # The kernel publishes (and so journals) under the lock the
+                # quiesce now holds, so the captured seq covers every
+                # mutation the captured documents contain — otherwise replay
+                # would re-apply those events on top of the newer state.
                 seq = self._journal.last_seq
                 dirty, self._dirty = self._dirty, set()
                 failures, self._journal_failures = self._journal_failures, 0
@@ -371,11 +359,6 @@ class PersistenceCoordinator:
         """Detach from the bus and release the journal/store handles."""
         if self._closed:
             return
-        # Drain the batching bus BEFORE detaching: buffered events must
-        # reach the journal, or a clean shutdown would lose operations the
-        # callers already saw succeed.
-        if hasattr(self._bus, "flush"):
-            self._bus.flush()
         self._closed = True
         self._unsubscribe()
         try:

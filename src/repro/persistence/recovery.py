@@ -355,8 +355,10 @@ def _apply(manager, record: JournalRecord, report: RecoveryReport) -> None:
             report.warnings.append(
                 "record #{}: instance.created without creation state".format(record.seq))
             return
-        model = _resolve_model(manager, creation["model_uri"],
-                               creation.get("model_version"))
+        # A version that is not installed raises: the caller reports a
+        # warning instead of attaching the instance to some other version.
+        model = manager.model(creation["model_uri"],
+                              version=creation.get("model_version"))
         instance = LifecycleInstance(
             model=model,
             resource=ResourceDescriptor.from_dict(creation["resource"]),
@@ -423,12 +425,3 @@ def _apply_timer(timers, record: JournalRecord) -> None:
     else:  # timer.cancelled / timer.fired both remove the pending timer.
         timers.remove_timer(record.subject_id)
 
-
-def _resolve_model(manager, model_uri: str, version):
-    """The published model a recovered instance follows — exact version when
-    still installed, else the latest (a later ``model_changed`` record will
-    correct it anyway)."""
-    try:
-        return manager.model(model_uri, version=version)
-    except GeleeError:
-        return manager.model(model_uri)

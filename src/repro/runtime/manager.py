@@ -611,11 +611,12 @@ class LifecycleManager:
     def peek_instance(self, instance_id: str) -> Optional[LifecycleInstance]:
         """Lock-free lookup: the instance, or ``None`` when unknown.
 
-        Exists for bus subscribers (the persistence coordinator), which must
-        not take the kernel lock: on a batching bus they may run on a thread
-        flushing the batch while a writer that holds the lock waits for that
-        flush.  Safe because an instance is fully constructed before any
-        event about it is published.
+        Exists for bus subscribers (the persistence coordinator).  The
+        kernel publishes while holding its lock, so a subscriber already
+        runs inside the critical section; re-entering the lock would only
+        add a sampled acquire to the lock-wait histogram for every event.
+        Safe because an instance is fully constructed before any event
+        about it is published.
         """
         return self._instances.get(instance_id)
 

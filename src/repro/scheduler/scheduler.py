@@ -204,11 +204,9 @@ class LifecycleScheduler:
     def tick(self, now: datetime = None, limit: int = None) -> List[TimerFiring]:
         """Fire every due timer; the host's single entry point for time.
 
-        With a batching bus the buffered tail is flushed first, so deadline
-        timers armed by not-yet-delivered ``phase_entered`` events exist
-        before dueness is evaluated.  A *dormant* scheduler (read replica,
-        not yet promoted) never fires: its pending set mirrors the
-        primary's, which is the one enforcing them.
+        A *dormant* scheduler (read replica, not yet promoted) never fires:
+        its pending set mirrors the primary's, which is the one enforcing
+        them.
         """
         if not self._config.enabled or self.dormant:
             return []
@@ -217,8 +215,6 @@ class LifecycleScheduler:
         # of their own (``tick-…``) unless the tick runs inside a request.
         with ensure_trace("tick"):
             with span_scope("scheduler.tick") as span:
-                if hasattr(self._bus, "flush"):
-                    self._bus.flush()
                 with self._lock:
                     self._ticks += 1
                 firings = self.timers.fire_due(now=now, limit=limit)
@@ -235,13 +231,12 @@ class LifecycleScheduler:
     def _sync_deadline_timer(self, instance_id: str) -> None:
         """Make the instance's deadline timer match its live state.
 
-        Reconciles instead of reacting to the event payload: with a
-        batching bus the instance may already be phases ahead of the event
-        being delivered, and re-deriving from current state makes delivery
-        of the whole batch converge on the right timer regardless of
-        interleaving.  Uses the lock-free ``peek_instance`` because on a
-        batching bus handlers may run on a flushing thread while a writer
-        holding the kernel lock waits for that flush.
+        Reconciles instead of reacting to the event payload: every event
+        kind that can move the token or change a phase's deadline lands
+        here, and re-deriving from current state makes each of them
+        converge on the right timer (a repeat delivery is a no-op).  Uses
+        the lock-free ``peek_instance`` because the kernel publishes while
+        holding its lock, so this handler already runs inside it.
         """
         timer_id = deadline_timer_id(instance_id)
         instance = self._manager.peek_instance(instance_id)

@@ -120,7 +120,7 @@ class GeleeService:
 
         ``manager`` injects a pre-built
         :class:`~repro.runtime.manager.LifecycleManager` (e.g. one wired to
-        a batching bus or a simulated action latency); the service then
+        a simulated action latency or pooled completions); the service then
         shares that manager's environment, bus and clock.  Without it the
         service builds its own kernel.
 

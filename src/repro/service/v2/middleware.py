@@ -12,8 +12,9 @@ versions, so cross-cutting concerns live in exactly one place:
     normalises actor extraction (``X-Gelee-Actor`` header → ``Request.actor``
     → ``actor`` query/body parameter) before any handler runs.
 ``TimingMiddleware``
-    measures wall-clock per matched route and aggregates counts/latency into
-    :class:`ApiStats`, surfaced by ``GET /v2/runtime/stats``.
+    measures wall-clock per route (``unmatched`` when no route matched) and
+    aggregates counts/latency into :class:`ApiStats`, surfaced by
+    ``GET /v2/runtime/stats``.
 ``ErrorTranslationMiddleware``
     converts :class:`~repro.errors.GeleeError` into a response: the legacy
     v1 ``{"error": ...}`` body with the historical status mapping, or the v2
@@ -145,24 +146,29 @@ class ActorMiddleware:
 
 
 class TimingMiddleware:
-    """Measure matched-route latency into :class:`ApiStats` + the registry.
+    """Measure per-route latency into :class:`ApiStats` + the registry.
 
     ``ApiStats`` keeps the compact per-route averages served by
     ``GET /v2/runtime/stats``; the registry gets the scrape-friendly
     series — a latency histogram per route and a request counter per
-    route/status pair — for ``GET /v2/metrics``.
+    route/status pair — for ``GET /v2/metrics``.  Every request that
+    enters the pipeline is counted and logged; one refused before a route
+    matched (404, 405, the reserved-actor 403) goes under the fixed label
+    :attr:`UNMATCHED`, so paths a client makes up cannot grow the label set.
     """
+
+    UNMATCHED = "unmatched"
 
     def __init__(self, stats: ApiStats, registry=None):
         self.stats = stats
         registry = registry or get_registry()
         self._latency = registry.histogram(
             "gelee_api_request_seconds",
-            "Wall-clock latency of matched API routes.",
+            "Wall-clock latency of API requests by route.",
             labelnames=("route",))
         self._requests = registry.counter(
             "gelee_api_requests_total",
-            "API requests by matched route and response status.",
+            "API requests by route and response status.",
             labelnames=("route", "status"))
         # The access log writes straight into the process log ring (not
         # stderr — per-request lines would drown real output) so every
@@ -176,17 +182,16 @@ class TimingMiddleware:
     def __call__(self, request: Request, call_next) -> Response:
         started = time.perf_counter()
         response = call_next(request)
-        route = request.context.get("route")
-        if route is not None:
-            duration = time.perf_counter() - started
-            self.stats.record(route, duration, response.status)
-            self._latency.observe(duration, route=route)
-            self._requests.inc(route=route, status=str(response.status))
-            self._log.emit("request.handled",
-                           level="warning" if response.status >= 500 else "info",
-                           method=request.method, route=route,
-                           status=response.status,
-                           duration_ms=round(duration * 1000.0, 3))
+        route = request.context.get("route") or self.UNMATCHED
+        duration = time.perf_counter() - started
+        self.stats.record(route, duration, response.status)
+        self._latency.observe(duration, route=route)
+        self._requests.inc(route=route, status=str(response.status))
+        self._log.emit("request.handled",
+                       level="warning" if response.status >= 500 else "info",
+                       method=request.method, route=route,
+                       status=response.status,
+                       duration_ms=round(duration * 1000.0, 3))
         return response
 
 

@@ -40,7 +40,7 @@ import time
 import uuid
 from collections import OrderedDict
 from contextvars import ContextVar
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 __all__ = [
     "Span",
@@ -193,6 +193,11 @@ class Span:
         return document
 
 
+#: One trace's held spans, its dropped-span count and the parent ids its
+#: held spans name.
+_TraceEntry = Tuple[List[Span], int, Set[Optional[int]]]
+
+
 class SpanStore:
     """Bounded ring buffer of finished spans, grouped by trace.
 
@@ -202,8 +207,10 @@ class SpanStore:
     case it moves to a secondary bounded exemplar map so slow outliers
     outlive ring churn.  Per-trace span counts are capped at
     ``max_spans_per_trace``; overflow spans are counted, not stored, so a
-    runaway fan-out cannot balloon memory.  The one exception is the
-    trace's root, which is kept past the cap.
+    runaway fan-out cannot balloon memory.  Two kinds of span are kept past
+    the cap, up to twice it: the trace's root, and any span a held span
+    names as its parent — parents finish after their children, and
+    dropping them would leave the held children as orphans.
     """
 
     def __init__(self, max_traces: int = 256, max_spans_per_trace: int = 512,
@@ -214,9 +221,10 @@ class SpanStore:
         self._max_spans = max(1, int(max_spans_per_trace))
         self._slow_threshold = float(slow_threshold_seconds)
         self._max_slow = max(0, int(max_slow_traces))
-        # trace_id -> (spans, dropped_count); insertion order = ring order.
-        self._traces: "OrderedDict[str, Tuple[List[Span], int]]" = OrderedDict()
-        self._slow: "OrderedDict[str, Tuple[List[Span], int]]" = OrderedDict()
+        # trace_id -> (spans, dropped_count, parent ids named by the held
+        # spans — ``None`` once a root is held); insertion order = ring order.
+        self._traces: "OrderedDict[str, _TraceEntry]" = OrderedDict()
+        self._slow: "OrderedDict[str, _TraceEntry]" = OrderedDict()
         self._lock = threading.Lock()
         self._recorded_gone = 0  # spans recorded but since discarded
         self._dropped = 0
@@ -258,6 +266,7 @@ class SpanStore:
         entry = self._traces.get(span.trace_id)
         if entry is not None and len(entry[0]) < self._max_spans:
             entry[0].append(span)
+            entry[2].add(span.parent_id)
             return
         with self._lock:
             entry = self._traces.get(span.trace_id)
@@ -266,23 +275,24 @@ class SpanStore:
                 # (e.g. replication applies arriving after ring eviction).
                 entry = self._slow.pop(span.trace_id, None)
                 if entry is None:
-                    entry = ([], 0)
+                    entry = ([], 0, set())
                 self._traces[span.trace_id] = entry
                 while len(self._traces) > self._max_traces:
                     self._evict_oldest_locked()
-            spans, dropped = entry
-            # A root finishes after its children, which may have filled
-            # the cap already: past the cap only a trace's first
-            # parentless span is still kept, so the trace never loses
-            # its root (replica applies are parentless too, and stay
-            # capped).
+            spans, dropped, parents = entry
+            # A parent finishes after its children, which may have filled
+            # the cap already: past the cap a span is still kept if a held
+            # span names it as parent, or if it is the trace's first root
+            # (replica applies are parentless too, and stay capped).
             if len(spans) >= self._max_spans and (
-                    span.parent_id is not None
-                    or any(held.parent_id is None for held in spans)):
-                self._traces[span.trace_id] = (spans, dropped + 1)
+                    len(spans) >= 2 * self._max_spans
+                    or (span.span_id not in parents
+                        and (span.parent_id is not None or None in parents))):
+                self._traces[span.trace_id] = (spans, dropped + 1, parents)
                 self._dropped += 1
                 return
             spans.append(span)
+            parents.add(span.parent_id)
 
     def _evict_oldest_locked(self) -> None:
         trace_id, entry = self._traces.popitem(last=False)
@@ -318,7 +328,7 @@ class SpanStore:
             rows.extend((trace_id, entry, True)
                         for trace_id, entry in self._slow.items())
         summaries = []
-        for trace_id, (spans, dropped), retained in rows:
+        for trace_id, (spans, dropped, _parents), retained in rows:
             roots = [span for span in spans if span.parent_id is None]
             summaries.append({
                 "trace_id": trace_id,

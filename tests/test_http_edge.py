@@ -170,6 +170,23 @@ class TestRefusedBeforeRouting:
             server, "GET", "/v2/runtime/traces/req-put-1")
         root = trace["data"]["tree"][0]
         assert (root["name"], root["attrs"]["status"]) == ("gateway.request", 405)
+        # ...logged under its request id...
+        _status, _headers, logs = raw_exchange(
+            server, "GET", "/v2/runtime/logs?trace_id=req-put-1")
+        handled = [record for record in logs["data"]["records"]
+                   if record["event"] == "request.handled"]
+        assert [(r["method"], r["route"], r["status"]) for r in handled] == [
+            ("PUT", "unmatched", 405)]
+        # ...and counted under the fixed route label.
+        metrics = http.client.HTTPConnection(server.host, server.port, timeout=5)
+        try:
+            metrics.request("GET", "/v2/metrics")
+            exposition = metrics.getresponse().read().decode("utf-8")
+        finally:
+            metrics.close()
+        assert any(line.startswith("gelee_api_requests_total{")
+                   and 'route="unmatched"' in line and 'status="405"' in line
+                   for line in exposition.splitlines())
 
     def test_delete_on_an_unknown_path_answers_the_404_envelope(self, live):
         status, headers, body = raw_exchange(live[0], "DELETE", "/v2/nowhere")

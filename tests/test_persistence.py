@@ -16,7 +16,7 @@ import pytest
 from repro.actions import library
 from repro.clock import SimulatedClock
 from repro.errors import ConcurrencyError, ServiceError, StorageError
-from repro.events import BatchingEventBus, Event
+from repro.events import Event, EventBus
 from repro.model import LifecycleBuilder
 from repro.persistence import (
     FileStore,
@@ -51,7 +51,7 @@ def bench_model(name="Persistence lifecycle"):
 def build_runtime():
     clock = SimulatedClock()
     environment = build_standard_environment(clock=clock)
-    bus = BatchingEventBus(max_batch=64)
+    bus = EventBus()
     log = ExecutionLog(bus=bus)
     manager = LifecycleManager(environment, clock=clock, bus=bus)
     return environment, bus, log, manager
@@ -410,7 +410,6 @@ class TestCoordinator:
         instance = manager.instantiate(
             model.uri, descriptor, owner="alice",
             metadata={"project": "p1"}, token_owners=["bob"])
-        bus.flush()
         records = {r.kind: r for r in coordinator.journal.read()}
         assert records["model.published"].state["model"]["uri"] == model.uri
         creation = records["instance.created"].state["instance"]
@@ -511,7 +510,6 @@ class TestCoordinator:
         descriptor = adapter.create_resource("doc", owner="alice")
         instance = manager.instantiate(model.uri, descriptor, owner="alice")
         manager.start(instance.instance_id, actor="alice")
-        bus.flush()
         status = coordinator.status()
         assert status["journal_failures"] > 0
         assert "disk full" in status["last_journal_error"]
@@ -546,7 +544,6 @@ class TestCoordinator:
         descriptor = environment.adapter("Google Doc").create_resource(
             "doc", owner="alice")
         instance = manager.instantiate(model.uri, descriptor, owner="alice")
-        bus.flush()
         assert coordinator.dirty_count == 1
 
         def broken_upsert(documents):
@@ -641,7 +638,6 @@ class TestKillAndRestart:
             ids[30:45], lambda kernel, iid: kernel.advance(iid, actor="alice",
                                                          to_phase_id="review"))
         manager.annotate(ids[40], actor="bob", text="post-checkpoint note")
-        bus.flush()
         expected = state_fingerprint(manager, log, model.uri)
         coordinator.close()
         del manager, log, bus  # the crash: every in-memory structure is gone
@@ -662,7 +658,6 @@ class TestKillAndRestart:
         model = bench_model()
         manager.publish_model(model, actor="coordinator")
         drive_workload(environment, manager, model, count=20)
-        bus.flush()
         expected = state_fingerprint(manager, log, model.uri)
         coordinator.close()
 
@@ -689,7 +684,6 @@ class TestKillAndRestart:
         coordinator.checkpoint()
         # Post-checkpoint tail that only the journal knows about.
         manager.advance(ids[20], actor="alice", to_phase_id="review")
-        bus.flush()
         coordinator.close()
 
         # Restart 1: recover, attach a new coordinator (marking replayed
@@ -705,7 +699,6 @@ class TestKillAndRestart:
             coordinator2.mark_dirty(instance_id)
         coordinator2.checkpoint()
         manager2.advance(ids[21], actor="alice", to_phase_id="review")
-        bus2.flush()
         expected = state_fingerprint(manager2, log2, model.uri)
         coordinator2.close()
 
@@ -744,7 +737,6 @@ class TestKillAndRestartAtScale:
         manager.map_instances(ids[:400],
                               lambda kernel, iid: kernel.advance(
                                   iid, actor="alice", to_phase_id="review"))
-        bus.flush()
         expected = state_fingerprint(manager, log, model.uri)
         coordinator.close()
         del manager, log, bus
@@ -816,7 +808,6 @@ class TestModelReferences:
             self._durable_runtime(tmp_path)
         coordinator.checkpoint()
         manager.advance(ids[-1], actor="alice", to_phase_id="review")
-        bus.flush()
         expected = state_fingerprint(manager, log, model.uri)
         coordinator.close()
         store = config.open_store()
@@ -851,6 +842,34 @@ class TestModelReferences:
         assert ids[0] not in {i.instance_id for i in manager2.instances()}
         assert len(report.warnings) == 1
         assert ids[0] in report.warnings[0] and "9.9" in report.warnings[0]
+
+    def test_missing_created_version_in_the_journal_is_a_warning_not_a_substitute(
+            self, tmp_path):
+        """The journal path matches the snapshot path: an ``instance.created``
+        record naming an uninstalled version does not fall back to the
+        latest one."""
+        config, coordinator, manager, log, bus, model, ids = \
+            self._durable_runtime(tmp_path)
+        coordinator.close()  # no checkpoint: every instance lives in the journal
+        journal_dir = os.path.join(str(tmp_path), "journal")
+        for name in os.listdir(journal_dir):
+            path = os.path.join(journal_dir, name)
+            with open(path) as handle:
+                records = [json.loads(line) for line in handle if line.strip()]
+            for record in records:
+                if record["kind"] == "instance.created" and record["subject_id"] == ids[0]:
+                    record["state"]["instance"]["model_version"] = "9.9"
+            with open(path, "w") as handle:
+                handle.writelines(json.dumps(record) + "\n" for record in records)
+
+        report, manager2, log2 = self._recover(config)
+        assert manager2.instance_count() == len(ids) - 1
+        assert ids[0] not in {i.instance_id for i in manager2.instances()}
+        created = [w for w in report.warnings if "(instance.created)" in w]
+        assert len(created) == 1
+        assert "9.9" in created[0]
+        # The instance's later records cannot apply either; nothing else warns.
+        assert all(ids[0] in w or "9.9" in w for w in report.warnings)
 
 
 # ============================================================== service tier
@@ -943,6 +962,33 @@ class TestServicePersistence:
         detail = service2.instance_detail(instance["instance_id"])
         assert detail["status"] == "created"
         service2.close()
+
+    def test_injected_manager_journals_each_call_before_it_returns(self, tmp_path):
+        """Write-ahead: on an injected kernel every call's records are in
+        the journal when the call returns, with no flush step anywhere."""
+        environment, bus, _log, manager = build_runtime()
+        config = PersistenceConfig(str(tmp_path), backend="file", fsync="never")
+        service = GeleeService(manager=manager, persistence=config)
+        journal = service.persistence.journal
+
+        def kinds_since(seq):
+            return [record.kind for record in journal.read(after_seq=seq)]
+
+        model = bench_model()
+        manager.publish_model(model, actor="alice")
+        assert kinds_since(0) == ["model.published"]
+        seq = journal.last_seq
+        descriptor = environment.adapter("Google Doc").create_resource(
+            "doc", owner="alice")
+        created = service.create_instance(model.uri, descriptor.to_dict(),
+                                          owner="alice")
+        assert "instance.created" in kinds_since(seq)
+        service.start_instance(created["instance_id"], actor="alice")
+        seq = journal.last_seq
+        service.advance_instance(created["instance_id"], actor="alice",
+                                 to_phase_id="review")
+        assert "instance.phase_entered" in kinds_since(seq)
+        service.close()
 
 
 # ===================================== crash interactions (rotation, torn
@@ -1087,7 +1133,6 @@ class TestCrashInteractions:
         model = bench_model()
         manager.publish_model(model, actor="coordinator")
         ids = drive_workload(environment, manager, model, count=24)
-        bus.flush()
         expected = state_fingerprint(manager, log, model.uri)
 
         publish_attempted = {"count": 0}
@@ -1126,7 +1171,6 @@ class TestCrashInteractions:
         model = bench_model()
         manager.publish_model(model, actor="coordinator")
         ids = drive_workload(environment, manager, model, count=24)
-        bus.flush()
         expected = state_fingerprint(manager, log, model.uri)
 
         original_upsert_many = store.upsert_many
@@ -1163,17 +1207,14 @@ class TestCrashInteractions:
         model = bench_model()
         manager.publish_model(model, actor="coordinator")
         ids = drive_workload(environment, manager, model, count=20)
-        bus.flush()
         checkpoint = coordinator.checkpoint()
         assert checkpoint["segments_truncated"] >= 1
         manager.map_instances(
             ids[10:16], lambda kernel, iid: kernel.advance(iid, actor="alice",
                                                          to_phase_id="review"))
-        bus.flush()
         expected = state_fingerprint(manager, log, model.uri)
         coordinator.journal.rotate()
         manager.annotate(ids[0], actor="alice", text="doomed note")
-        bus.flush()
         # The crash tears the very last journal line (the annotation): that
         # record never committed, so the recovered state must equal the
         # pre-annotation fingerprint... minus nothing else.

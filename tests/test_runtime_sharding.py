@@ -1,4 +1,4 @@
-"""Concurrency and bulk tests for the one locked kernel, and the batching bus.
+"""Concurrency, bulk and event-delivery tests for the one locked kernel.
 
 The kernel was once split into hash-routed shards behind a facade; these
 tests kept their ids when the facade folded into
@@ -10,9 +10,8 @@ import threading
 
 import pytest
 
-from repro.clock import SimulatedClock
 from repro.errors import PropagationError, RuntimeStateError
-from repro.events import BatchingEventBus, Event, EventBus, EventRecorder
+from repro.events import EventBus, EventRecorder
 from repro.monitoring import MonitoringCockpit
 from repro.runtime import InstanceStatus, LifecycleManager
 from repro.service import GeleeService, RestRouter
@@ -162,74 +161,25 @@ class TestShardedPropagation:
             manager.accept_change("prop-missing", "alice")
 
 
-# ------------------------------------------------------------ event batching
-class TestBatchingEventBus:
-    @staticmethod
-    def _event(kind, index, clock):
-        return Event(kind=kind, timestamp=clock.now(), subject_id="s{}".format(index))
-
-    def test_flush_preserves_publish_order(self):
-        clock = SimulatedClock()
-        bus = BatchingEventBus(clock=clock, max_batch=100, max_delay_seconds=3600)
+# ----------------------------------------------------------- event delivery
+class TestEventDelivery:
+    def test_runtime_delivers_every_event_in_publish_order(self, environment, clock):
+        """Delivery is synchronous: each event reaches the subscriber during
+        its publish, so the recorder sees all of them, in kernel order."""
+        bus = EventBus()
         recorder = EventRecorder(bus)
-        for index in range(10):
-            bus.publish(self._event("instance.phase_entered", index, clock))
-        assert recorder.events == []
-        assert bus.pending_count == 10
-        assert bus.flush() == 10
-        assert [event.subject_id for event in recorder.events] \
-            == ["s{}".format(index) for index in range(10)]
-
-    def test_size_threshold_triggers_flush(self):
-        clock = SimulatedClock()
-        bus = BatchingEventBus(clock=clock, max_batch=4, max_delay_seconds=3600)
-        recorder = EventRecorder(bus)
-        for index in range(9):
-            bus.publish(self._event("k", index, clock))
-        assert len(recorder.events) == 8  # two full batches delivered
-        assert bus.pending_count == 1
-        assert bus.flushed_batches == 2
-
-    def test_time_threshold_uses_the_injected_clock(self):
-        clock = SimulatedClock()
-        bus = BatchingEventBus(clock=clock, max_batch=1000, max_delay_seconds=60)
-        recorder = EventRecorder(bus)
-        bus.publish(self._event("k", 0, clock))
-        assert recorder.events == []
-        clock.advance(minutes=2)
-        bus.publish(self._event("k", 1, clock))
-        assert len(recorder.events) == 2
-        assert bus.pending_count == 0
-
-    def test_context_manager_flushes_on_exit(self):
-        clock = SimulatedClock()
-        recorder_events = []
-        with BatchingEventBus(clock=clock, max_batch=100, max_delay_seconds=3600) as bus:
-            bus.subscribe("*", recorder_events.append)
-            bus.publish(self._event("k", 0, clock))
-            assert recorder_events == []
-        assert len(recorder_events) == 1
-
-    def test_published_count_counts_buffered_events(self):
-        clock = SimulatedClock()
-        bus = BatchingEventBus(clock=clock, max_batch=100, max_delay_seconds=3600)
-        bus.publish(self._event("k", 0, clock))
-        assert bus.published_count == 1
-
-    def test_sharded_runtime_on_a_batching_bus_delivers_everything(self, environment, clock):
-        bus = BatchingEventBus(clock=clock, max_batch=32, max_delay_seconds=3600)
-        recorder = EventRecorder(bus, pattern="instance.")
         manager = LifecycleManager(environment, clock=clock, bus=bus)
         model = eu_deliverable_lifecycle()
         manager.publish_model(model, actor="coordinator")
         ids = [manager.instantiate(model.uri, doc, owner="alice").instance_id
                for doc in _docs(environment, 10)]
         manager.map_instances(ids, lambda kernel, i: kernel.start(i, actor="alice"))
-        bus.flush()
-        created = [e for e in recorder.events if e.kind == "instance.created"]
-        entered = [e for e in recorder.events if e.kind == "instance.phase_entered"]
-        assert len(created) == 10
-        assert len(entered) == 10
+        assert len(recorder.events) == bus.published_count
+        instance_events = [(e.kind, e.subject_id) for e in recorder.events
+                           if e.kind in ("instance.created", "instance.phase_entered")]
+        assert instance_events \
+            == [("instance.created", i) for i in ids] \
+            + [("instance.phase_entered", i) for i in ids]
 
 
 # -------------------------------------------------------------- service tier

@@ -714,6 +714,42 @@ class TestSpanStore:
         store.add(extra)
         assert store.trace("t-full")["span_count"] == 5
 
+    def test_parent_of_held_spans_survives_a_full_trace(self):
+        """More than ``max_spans_per_trace`` children finish before their
+        parent: the parent is still stored, so no held child is orphaned."""
+        store = SpanStore()
+        with trace_scope("t-fanout"):
+            with span_scope("gateway.request", store=store) as root:
+                with span_scope("shard.drain", store=store) as drain:
+                    for _ in range(600):
+                        with span_scope("journal.append", store=store):
+                            pass
+        doc = store.trace("t-fanout")
+        assert doc["span_count"] == 514
+        assert doc["dropped_spans"] == 88
+        held = {span["span_id"] for span in doc["spans"]}
+        assert all(span["parent_id"] in held
+                   for span in doc["spans"] if span["parent_id"] is not None)
+        (tree_root,) = doc["tree"]
+        assert tree_root["span_id"] == root.span_id
+        (tree_drain,) = tree_root["children"]
+        assert tree_drain["span_id"] == drain.span_id
+        assert len(tree_drain["children"]) == 512
+
+    def test_spans_kept_past_the_cap_stay_bounded(self):
+        """A chain of parents each named by the last kept span stops at
+        twice the cap."""
+        store = SpanStore(max_spans_per_trace=2)
+        spans = [Span("t-chain", new_span_id(), None, "root")]
+        for depth in range(9):
+            spans.append(Span("t-chain", new_span_id(), spans[-1].span_id,
+                              "level {}".format(depth)))
+        for span in reversed(spans):  # innermost finishes first
+            span.finish()
+            store.add(span)
+        doc = store.trace("t-chain")
+        assert (doc["span_count"], doc["dropped_spans"]) == (4, 6)
+
     def test_traces_listing_is_newest_first_and_limited(self):
         store = SpanStore()
         for trace_id in ("t1", "t2", "t3"):
