@@ -104,7 +104,7 @@ def _run_batch_advance(completion_workers):
         elapsed = time.perf_counter() - started
         assert all(item.ok for item in result.results)
         assert service.manager.in_flight_count() == 0
-        mode = service.runtime_stats()["dispatch_mode"]
+        mode = service.node_status()["dispatch"]["mode"]
         return elapsed, INSTANCES / elapsed, mode
     finally:
         service.close()

@@ -113,7 +113,8 @@ def main() -> None:
 
         stats = coordinator.runtime_stats()
         print("runtime: {} instances, {} dispatch; {} API requests".format(
-            stats["instances"], stats["dispatch"]["mode"], stats["api"]["requests"]))
+            stats["instances"], stats["dispatch"]["mode"],
+            int(stats["telemetry"]["api_requests"])))
 
     # --- the same kernel through SOAP --------------------------------------------
     soap = SoapEndpoint(service)

@@ -431,6 +431,7 @@ class GeleeClient:
         return data
 
     def runtime_stats(self) -> Dict[str, Any]:
+        """The node status document, the same one :meth:`cluster_self` reads."""
         data, _ = self.call("GET", "/v2/runtime/stats")
         return data
 

@@ -227,10 +227,7 @@ class Coordinator:
         if self._demoted:
             # Re-elected after a demotion: the new epoch makes this node
             # writable again (its journal fence now carries the new token).
-            self._service.manager.set_read_only(False)
-            self._service.read_only = False
-            self._service.primary_hint = None
-            self._service.scheduler.dormant = False
+            self._service.set_writable(True)
             self._demoted = False
 
     def _on_deposed(self, reason: str) -> None:
@@ -250,8 +247,7 @@ class Coordinator:
         self._demoted = True
         self._demotions += 1
         leader = self._store.leader(self._config.lease_name)
-        self._service.manager.set_read_only(True)
-        self._service.read_only = True
+        hint = self._service.primary_hint
         if leader is not None and leader.holder_id != self.elector.node_id:
-            self._service.primary_hint = leader.holder_id
-        self._service.scheduler.dormant = True
+            hint = leader.holder_id
+        self._service.set_writable(False, primary_hint=hint)

@@ -192,10 +192,7 @@ class FailoverSupervisor:
             lease = self.elector.resign()
             if self._guard is not None:
                 self._guard.invalidate("resigned voluntarily")
-            service = self._replica.service
-            service.manager.set_read_only(True)
-            service.read_only = True
-            service.scheduler.dormant = True
+            self._replica.service.set_writable(False)
             self._resigned = True
             self._last_report = {"state": "resigned"}
             return {"resigned": True, "node_id": self.elector.node_id,

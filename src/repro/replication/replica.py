@@ -209,11 +209,12 @@ class ReadReplica:
         everything the (possibly dead) primary made durable — with a
         journal-shipping source that works even after the primary process
         is gone, so loss is bounded to the un-streamed tail that never
-        reached the journal; (2) the dormant scheduler wakes and
-        ``resync_after_recovery`` rebuilds retry/backoff state from the
-        replicated timer set, so deadlines and retries fire from exactly
-        where the primary left them; (3) the runtime flips writable and the
-        read-only guard stands down.  Promotion is once: a second call
+        reached the journal; (2) ``resync_after_recovery`` rebuilds
+        retry/backoff state from the replicated timer set, so deadlines and
+        retries fire from exactly where the primary left them; (3)
+        :meth:`~repro.service.GeleeService.set_writable` flips the runtime
+        writable and wakes the dormant scheduler, and the read-only guard
+        stands down.  Promotion is once: a second call
         raises :class:`~repro.errors.ReplicationError`.
         """
         if self._promoted:
@@ -258,11 +259,8 @@ class ReadReplica:
         interrupted = len(fail_interrupted_invocations(
             self.service.manager, report=self._replayer.report))
         scheduler = self.service.scheduler
-        scheduler.dormant = False
         retry_states = scheduler.resync_after_recovery()
-        self.service.manager.set_read_only(False)
-        self.service.read_only = False
-        self.service.primary_hint = None
+        self.service.set_writable(True)
         self._promoted = True
         report = {
             "promoted": True,

@@ -244,14 +244,7 @@ class GeleeService:
         #: :class:`~repro.replication.ReadReplica` that owns this service;
         #: ``None`` on unreplicated deployments.
         self.replication = None
-        self.read_only = bool(read_only)
-        self.primary_hint = primary_hint
-        if self.read_only:
-            self.manager.set_read_only(True)
-            # Timers replicate in but must not fire here: deadline
-            # enforcement, retries and maintenance are the primary's job
-            # until this node is promoted.
-            self.scheduler.dormant = True
+        self.set_writable(not read_only, primary_hint=primary_hint)
         if persistence is not None:
             self._wire_persistence(persistence)
         #: The SLO/alert engine: declarative rules over the process
@@ -351,6 +344,26 @@ class GeleeService:
         # Recovered maintenance timers for jobs this config no longer asks
         # for must not keep firing into the void.
         self.scheduler.prune_orphan_jobs()
+
+    @property
+    def read_only(self) -> bool:
+        """Whether this node refuses writes: the kernel's read-only mode."""
+        return self.manager.read_only
+
+    def set_writable(self, writable: bool, primary_hint: Optional[str] = None) -> None:
+        """Flip this node between serving and refusing writes.
+
+        The one switch for the node's writability: the kernel's read-only
+        mode, the scheduler's dormancy (timers replicate in but deadline
+        enforcement, retries and maintenance are the writer's job) and
+        ``primary_hint``, the address a refused write is pointed at.
+        Going read-only flips the kernel first, which stops new
+        submissions and drains in-flight completions, so no action lands
+        after the barrier.
+        """
+        self.primary_hint = primary_hint
+        self.manager.set_read_only(not writable)
+        self.scheduler.dormant = not writable
 
     def close(self) -> None:
         """Detach the scheduler, stop worker pools, flush persistence.
@@ -506,48 +519,6 @@ class GeleeService:
         return self.cockpit.deadline_rollup(model_uri=model_uri,
                                             scheduler=self.scheduler)
 
-    def runtime_stats(self) -> Dict[str, Any]:
-        """Deployment-level runtime figures (instances, event volume, dispatch)."""
-        manager = self.manager
-        stats: Dict[str, Any] = {
-            "instances": manager.instance_count(),
-            "events_published": self.bus.published_count,
-            "by_status": {status.value: count
-                          for status, count in manager.status_distribution().items()},
-        }
-        stats["persistence_enabled"] = self.persistence is not None
-        stats["scheduler_enabled"] = self.scheduler.config.enabled
-        stats["pending_timers"] = self.scheduler.timers.pending_count
-        stats["read_only"] = self.read_only
-        # Completion-based dispatch figures (docs/DISPATCH.md).  The
-        # ``dispatch`` block is the *stable* schema — identical keys inline
-        # and pooled, so dashboards never branch on deployment shape.  The
-        # flat legacy keys stay for older callers.
-        in_flight = manager.in_flight_count()
-        mode = manager.completion_executor.mode
-        pool = manager.worker_pool
-        pool_stats = pool.stats() if pool is not None else None
-        stats["dispatch"] = {
-            "mode": mode,
-            "in_flight": in_flight,
-            "queue_depth": pool_stats["queued"] if pool_stats else 0,
-            "worker_pool": pool_stats,
-        }
-        stats["in_flight_actions"] = in_flight
-        stats["dispatch_mode"] = mode
-        if pool_stats is not None:
-            stats["worker_pool"] = pool_stats
-        operations_pool = self.operations.pool_stats()
-        if operations_pool is not None:
-            stats["operations_pool"] = operations_pool
-        stats["replication_role"] = self._role()
-        stats["coordination_enabled"] = self.coordination is not None
-        if self.coordination is not None:
-            status = self.coordination.status()
-            stats["coordination_role"] = status.get("role")
-            stats["leader_id"] = status.get("leader_id")
-        return stats
-
     # --------------------------------------------------------------- telemetry
     def _refresh_telemetry_gauges(self) -> None:
         """Stamp the sampled gauges from their authoritative sources.
@@ -607,7 +578,7 @@ class GeleeService:
         snapshot["node"] = {
             "node_id": self._node_id(),
             "read_only": self.read_only,
-            "replication_role": self._role(),
+            "role": self._role(),
         }
         return snapshot
 
@@ -697,24 +668,42 @@ class GeleeService:
 
     # ------------------------------------------------------------ node status
     def node_status(self) -> Dict[str, Any]:
-        """This node's status document (``GET /v2/runtime/cluster/self``).
+        """This node's status document.
 
-        The one projection of node state: the cluster view federates it
-        row by row and :meth:`monitoring_summary` embeds its
-        :data:`NODE_SECTIONS`.  Each section keeps only the at-a-glance
-        figures; the full pictures live at ``/v2/runtime/replication``,
-        ``/v2/runtime/coordination``, ``/v2/runtime/telemetry``,
-        ``/v2/runtime/alerts`` and the observability routes.
+        The one projection of node state, served by ``GET
+        /v2/runtime/cluster/self``, ``GET /v2/runtime/stats`` and v1 ``GET
+        /runtime/stats``: the cluster view federates it row by row and
+        :meth:`monitoring_summary` embeds its :data:`NODE_SECTIONS`.  Each
+        section keeps only the at-a-glance figures; the full pictures live
+        at ``/v2/runtime/replication``, ``/v2/runtime/coordination``,
+        ``/v2/runtime/telemetry``, ``/v2/runtime/alerts`` and the
+        observability routes.
         """
         self._refresh_telemetry_gauges()
+        manager = self.manager
+        pool = manager.worker_pool
+        pool_stats = pool.stats() if pool is not None else None
         status: Dict[str, Any] = {
             "node_id": self._node_id(),
             "role": self._role(),
             "read_only": self.read_only,
             "primary_hint": self.primary_hint,
-            "captured_at": self.manager.clock.now().isoformat(),
-            "instances": self.manager.instance_count(),
+            "captured_at": manager.clock.now().isoformat(),
+            "instances": manager.instance_count(),
+            "events_published": self.bus.published_count,
+            "by_status": {state.value: count for state, count
+                          in manager.status_distribution().items()},
             "pending_timers": self.scheduler.timers.pending_count,
+            # Same keys inline and pooled (docs/DISPATCH.md), so a
+            # dashboard never branches on the deployment's shape.
+            "dispatch": {
+                "mode": manager.completion_executor.mode,
+                "in_flight": manager.in_flight_count(),
+                "queue_depth": pool_stats["queued"] if pool_stats else 0,
+                "worker_pool": pool_stats,
+                "operations_pool": self.operations.pool_stats(),
+                "operations": len(self.operations.list()),
+            },
         }
         if self.persistence is not None:
             status["journal_seq"] = self.persistence.journal.last_seq
@@ -830,8 +819,7 @@ class GeleeService:
         """Stream position, lag and role for ``GET /v2/runtime/replication``."""
         if self.replication is not None:
             return self.replication.status()
-        return {"enabled": False,
-                "role": "replica" if self.read_only else "primary"}
+        return {"enabled": False, "role": self._role()}
 
     def replication_promote(self) -> Dict[str, Any]:
         """Promote this read replica to primary (failover admin operation)."""
@@ -896,8 +884,7 @@ class GeleeService:
         """Election / fencing figures for ``GET /v2/runtime/coordination``."""
         if self.coordination is not None:
             return self.coordination.status()
-        return {"enabled": False,
-                "role": "replica" if self.read_only else "primary"}
+        return {"enabled": False, "role": self._role()}
 
     def coordination_resign(self) -> Dict[str, Any]:
         """Voluntarily release the primary lease (admin operation).

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 from http import HTTPStatus
 from http.client import HTTPConnection
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional
 from urllib.parse import parse_qsl, urlencode, urlsplit
 
+from ..telemetry import trace_scope
 from .rest import Request, Response, RestRouter
 from .v2.envelope import Envelope, ErrorInfo, new_request_id
 
@@ -51,15 +53,26 @@ class _RouterRequestHandler(BaseHTTPRequestHandler):
         The stdlib calls this for a request line or header block it cannot
         parse (and would answer an HTML page); the answer here is the v2
         error envelope, and the connection closes because the stream cannot
-        be re-framed after such a request.
+        be re-framed after such a request.  The refusal is counted and
+        logged like a routed answer, under the ``unmatched`` route label
+        and its own ``X-Request-Id``.
         """
+        started = time.perf_counter()
         status = HTTPStatus(code)
         request_id = new_request_id()
         details = {"explain": explain} if explain else {}
         envelope = Envelope.failure(ErrorInfo(
             code=status.name, message=message or status.phrase,
             status=status.value, details=details), request_id=request_id)
+        timing = self.router.timing
+        with trace_scope(request_id):
+            timing.record(self.command, timing.UNMATCHED, status.value,
+                          time.perf_counter() - started)
         self.close_connection = True
+        # A request line the parser could not split leaves the version at
+        # HTTP/0.9, under which the stdlib writes neither status line nor
+        # headers; this server speaks HTTP/1.1 only.
+        self.request_version = self.protocol_version
         self._send(Response(status.value, envelope.to_dict(),
                             headers={"X-Request-Id": request_id}))
 

@@ -45,7 +45,6 @@ from .v2 import (
 )
 from .v2 import install as install_v2
 from .v2.envelope import Envelope, ErrorInfo
-from .v2.middleware import ApiStats
 
 #: Headers advertising the v1 deprecation path on every legacy response.
 V1_HEADERS = {
@@ -95,7 +94,9 @@ class RestRouter:
                 "pass either a service or manager/persistence/coordination, "
                 "not both")
         self.service = service
-        self.stats = ApiStats()
+        #: Counts and logs every answered request; the HTTP transport also
+        #: records the requests it refuses before routing through it.
+        self.timing = TimingMiddleware()
         self._routes: List[Route] = []
         self._register_routes()
         install_v2(self)
@@ -103,7 +104,7 @@ class RestRouter:
             [
                 RequestIdMiddleware(),
                 ActorMiddleware(),
-                TimingMiddleware(self.stats),
+                self.timing,
                 ErrorTranslationMiddleware(),
                 # Inside the error translation so its typed 409 (with the
                 # primary hint) reaches the wire in either dialect.
@@ -283,7 +284,7 @@ class RestRouter:
             service.monitoring_table(model_uri=req.param("model_uri"),
                                      owner=req.param("owner")))
         add("GET", "/monitoring/alerts", lambda req, p: service.monitoring_alerts())
-        add("GET", "/runtime/stats", lambda req, p: service.runtime_stats())
+        add("GET", "/runtime/stats", lambda req, p: service.node_status())
 
     # ----------------------------------------------------------------- handlers
     def _publish_model(self, request: Request, params: Dict[str, str]) -> Any:

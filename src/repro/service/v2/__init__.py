@@ -12,7 +12,7 @@ routes:
 * :mod:`~repro.service.v2.operations` — async operation handles
   (``202 Accepted`` + ``GET /v2/operations/{id}``);
 * :mod:`~repro.service.v2.middleware` — the request pipeline (request ids,
-  actor extraction, timing stats, error translation) used by both versions;
+  actor extraction, request timing, error translation) used by both versions;
 * :mod:`~repro.service.v2.routes` — the route table.
 """
 
@@ -34,7 +34,6 @@ from .envelope import (
 )
 from .middleware import (
     ActorMiddleware,
-    ApiStats,
     ErrorTranslationMiddleware,
     ReadOnlyGuardMiddleware,
     RequestIdMiddleware,
@@ -50,7 +49,6 @@ __all__ = [
     "ERROR_CATALOG",
     "ActorMiddleware",
     "AdvanceItem",
-    "ApiStats",
     "BatchItemResult",
     "BatchResult",
     "CreateInstanceItem",

@@ -12,9 +12,12 @@ versions, so cross-cutting concerns live in exactly one place:
     normalises actor extraction (``X-Gelee-Actor`` header → ``Request.actor``
     → ``actor`` query/body parameter) before any handler runs.
 ``TimingMiddleware``
-    measures wall-clock per route (``unmatched`` when no route matched) and
-    aggregates counts/latency into :class:`ApiStats`, surfaced by
-    ``GET /v2/runtime/stats``.
+    measures wall-clock per route (``unmatched`` when no route matched) into
+    the registry's ``gelee_api_requests_total`` and
+    ``gelee_api_request_seconds`` series (``GET /v2/metrics``) and writes
+    one ``request.handled`` access-log record per answer; the HTTP
+    transport records the requests it refuses before routing through the
+    same :meth:`TimingMiddleware.record`.
 ``ErrorTranslationMiddleware``
     converts :class:`~repro.errors.GeleeError` into a response: the legacy
     v1 ``{"error": ...}`` body with the historical status mapping, or the v2
@@ -24,10 +27,9 @@ versions, so cross-cutting concerns live in exactly one place:
 
 from __future__ import annotations
 
-import threading
 import time
 import traceback
-from typing import Any, Callable, Dict, List
+from typing import Callable, List
 
 from ...errors import (
     GeleeError,
@@ -60,43 +62,6 @@ def build_pipeline(middlewares: List[Middleware],
             return _mw(request, _next)
         pipeline = stage
     return pipeline
-
-
-class ApiStats:
-    """Per-route request counters and latency totals (thread-safe)."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._routes: Dict[str, Dict[str, float]] = {}
-
-    def record(self, route: str, duration_s: float, status: int) -> None:
-        with self._lock:
-            entry = self._routes.setdefault(
-                route, {"requests": 0, "errors": 0, "total_ms": 0.0, "max_ms": 0.0})
-            entry["requests"] += 1
-            if status >= 400:
-                entry["errors"] += 1
-            duration_ms = duration_s * 1000.0
-            entry["total_ms"] += duration_ms
-            entry["max_ms"] = max(entry["max_ms"], duration_ms)
-
-    def snapshot(self) -> Dict[str, Any]:
-        with self._lock:
-            routes = {
-                route: {
-                    "requests": int(entry["requests"]),
-                    "errors": int(entry["errors"]),
-                    "avg_ms": round(entry["total_ms"] / entry["requests"], 3)
-                    if entry["requests"] else 0.0,
-                    "max_ms": round(entry["max_ms"], 3),
-                }
-                for route, entry in self._routes.items()
-            }
-        return {
-            "routes": routes,
-            "requests": sum(entry["requests"] for entry in routes.values()),
-            "errors": sum(entry["errors"] for entry in routes.values()),
-        }
 
 
 # ---------------------------------------------------------------- middlewares
@@ -146,21 +111,19 @@ class ActorMiddleware:
 
 
 class TimingMiddleware:
-    """Measure per-route latency into :class:`ApiStats` + the registry.
+    """Count, time and log every answered request.
 
-    ``ApiStats`` keeps the compact per-route averages served by
-    ``GET /v2/runtime/stats``; the registry gets the scrape-friendly
-    series — a latency histogram per route and a request counter per
-    route/status pair — for ``GET /v2/metrics``.  Every request that
-    enters the pipeline is counted and logged; one refused before a route
-    matched (404, 405, the reserved-actor 403) goes under the fixed label
-    :attr:`UNMATCHED`, so paths a client makes up cannot grow the label set.
+    The registry gets a latency histogram per route and a request counter
+    per route/status pair, served at ``GET /v2/metrics``.  Every request
+    that enters the pipeline is counted and logged; one refused before a
+    route matched (404, 405, the reserved-actor 403, and the transport's
+    parser-level refusals) goes under the fixed label :attr:`UNMATCHED`,
+    so paths a client makes up cannot grow the label set.
     """
 
     UNMATCHED = "unmatched"
 
-    def __init__(self, stats: ApiStats, registry=None):
-        self.stats = stats
+    def __init__(self, registry=None):
         registry = registry or get_registry()
         self._latency = registry.histogram(
             "gelee_api_request_seconds",
@@ -173,8 +136,9 @@ class TimingMiddleware:
         # The access log writes straight into the process log ring (not
         # stderr — per-request lines would drown real output) so every
         # request leaves a record queryable at /v2/runtime/logs by the
-        # same X-Request-Id its span tree is filed under.  This runs
-        # inside RequestIdMiddleware's trace scope, so the emitter
+        # same X-Request-Id its span tree is filed under.  Both callers
+        # of record() run it inside a trace scope (the pipeline's
+        # RequestIdMiddleware, the transport's own), so the emitter
         # stamps the trace id on its own.
         self._log = JsonLogEmitter(component="gateway",
                                    sink=get_log_ring())
@@ -182,17 +146,19 @@ class TimingMiddleware:
     def __call__(self, request: Request, call_next) -> Response:
         started = time.perf_counter()
         response = call_next(request)
-        route = request.context.get("route") or self.UNMATCHED
-        duration = time.perf_counter() - started
-        self.stats.record(route, duration, response.status)
-        self._latency.observe(duration, route=route)
-        self._requests.inc(route=route, status=str(response.status))
-        self._log.emit("request.handled",
-                       level="warning" if response.status >= 500 else "info",
-                       method=request.method, route=route,
-                       status=response.status,
-                       duration_ms=round(duration * 1000.0, 3))
+        self.record(request.method, request.context.get("route") or self.UNMATCHED,
+                    response.status, time.perf_counter() - started)
         return response
+
+    def record(self, method: str, route: str, status: int,
+               duration: float) -> None:
+        """Count, time and log one answered request."""
+        self._latency.observe(duration, route=route)
+        self._requests.inc(route=route, status=str(status))
+        self._log.emit("request.handled",
+                       level="warning" if status >= 500 else "info",
+                       method=method, route=route, status=status,
+                       duration_ms=round(duration * 1000.0, 3))
 
 
 class ReadOnlyGuardMiddleware:

@@ -156,13 +156,9 @@ def install(router) -> None:
     add("GET", "/v2/monitoring/deadlines", lambda req, p: ok(
         req, service.monitoring_deadlines(model_uri=req.param("model_uri"))))
 
-    def runtime_stats(request: Request, params: Dict[str, str]) -> Response:
-        stats = service.runtime_stats()
-        stats["api"] = router.stats.snapshot()
-        stats["operations"] = len(service.operations.list())
-        return ok(request, stats)
-
-    add("GET", "/v2/runtime/stats", runtime_stats)
+    # The node document (GeleeService.node_status); per-route counts and
+    # latency are the gelee_api_request* series at /v2/metrics.
+    add("GET", "/v2/runtime/stats", lambda req, p: ok(req, service.node_status()))
 
     # -- telemetry ----------------------------------------------------------
     # The Prometheus exposition is the one v2 route that answers plain text

@@ -114,7 +114,7 @@ class WorkerPool:
         return self._closed
 
     def stats(self) -> Dict[str, int]:
-        """Queue/progress counters for the runtime-stats endpoint."""
+        """Queue/progress counters for the node document's dispatch section."""
         with self._lock:
             submitted, completed, active = self._submitted, self._completed, self._active
         return {

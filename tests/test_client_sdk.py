@@ -94,7 +94,7 @@ class TestInProcessClient:
         assert len(table) == 1
         stats = client.runtime_stats()
         assert stats["instances"] == 1
-        assert stats["api"]["requests"] >= 1
+        assert stats["telemetry"]["api_requests"] >= 1
         assert "Google Doc" in client.resource_types()
 
     def test_propagation_flow(self, client, service, model_uri):

@@ -81,6 +81,23 @@ def seed_instances(service, model, count, prefix="doc"):
     return ids
 
 
+def assert_writability(service, writable, hint=None):
+    """The node's one switch: every copy of writability agrees, and a v2
+    write on a read-only node answers 409 pointing at ``hint``."""
+    assert service.read_only is (not writable)
+    assert service.manager.read_only is (not writable)
+    assert service.scheduler.dormant is (not writable)
+    if writable:
+        assert service.primary_hint is None
+        return
+    response = RestRouter(service=service).post(
+        "/v2/models", body={"model": lease_model("Refused").to_dict()},
+        actor="alice")
+    assert response.status == 409
+    assert response.body["error"]["code"] == "REPLICA_READ_ONLY"
+    assert response.body["error"].get("details", {}).get("primary") == hint
+
+
 def make_store(kind, clock, root):
     if kind == "memory":
         return MemoryLeaseStore(clock=clock)
@@ -391,9 +408,7 @@ class TestCoordinatedService:
         assert status["enabled"] is True
         assert status["role"] == "leader"
         assert status["token"] == 1
-        stats = service.runtime_stats()
-        assert stats["coordination_enabled"] is True
-        assert stats["coordination_role"] == "leader"
+        assert service.node_status()["coordination"]["role"] == "leader"
         assert service.monitoring_summary()["coordination"]["is_leader"] is True
         service.close()
 
@@ -433,8 +448,7 @@ class TestCoordinatedService:
         report = client.coordination_resign()
         assert report["resigned"] is True
         # Resigned → demoted: reads fine, writes 409, scheduler dormant.
-        assert service.read_only is True
-        assert service.scheduler.dormant is True
+        assert_writability(service, False)
         with pytest.raises(GeleeApiError) as excinfo:
             client.coordination_resign()
         assert excinfo.value.code == "NOT_LEADER"
@@ -442,8 +456,7 @@ class TestCoordinatedService:
         # at a fresh epoch and flips it writable again.
         assert service.coordination.heartbeat() is True
         assert service.coordination.token == 2
-        assert service.read_only is False
-        assert service.scheduler.dormant is False
+        assert_writability(service, True)
         service.close()
 
     def test_split_brain_write_rejected_by_fencing_token(self, clock, root):
@@ -493,9 +506,7 @@ class TestCoordinatedService:
 
         # a's next heartbeat records the deposition and demotes it.
         assert a.coordination.heartbeat() is False
-        assert a.read_only is True
-        assert a.scheduler.dormant is True
-        assert a.primary_hint == "node-b"
+        assert_writability(a, False, hint="node-b")
         status = a.coordination_status()
         assert status["role"] == "standby"
         assert status["demoted"] is True
@@ -637,10 +648,9 @@ class TestAutomaticFailover:
         report = supervisor.poll()
         assert report["state"] == "failover"
         promoted = replica.service
-        assert promoted.read_only is False
+        assert_writability(promoted, True)
         supervisor.resign()
-        assert promoted.read_only is True
-        assert promoted.scheduler.dormant is True
+        assert_writability(promoted, False)
         assert supervisor.poll()["state"] == "resigned"
 
     def test_supervisor_daemon_start_stop_idempotent(self, clock, root):

@@ -356,10 +356,10 @@ class TestServiceDispatch:
         for instance in created:
             assert all(inv.status.is_terminal
                        for inv in instance.all_invocations())
-        stats = service.runtime_stats()
-        assert stats["dispatch_mode"] == "pooled"
-        assert stats["in_flight_actions"] == 0
-        assert stats["worker_pool"]["workers"] == 8
+        dispatch = service.node_status()["dispatch"]
+        assert dispatch["mode"] == "pooled"
+        assert dispatch["in_flight"] == 0
+        assert dispatch["worker_pool"]["workers"] == 8
         service.close()
 
     def test_operations_run_on_a_persistent_pool(self):

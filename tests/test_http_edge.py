@@ -213,6 +213,31 @@ class TestRefusedBeforeRouting:
         assert headers["Content-Type"] == "application/json"
         assert headers["Connection"] == "close"
 
+    def test_parser_refusal_is_counted_and_logged(self, live):
+        server = live[0]
+        with socket.create_connection((server.host, server.port), timeout=5) as sock:
+            sock.sendall(b"BOGUS\r\n\r\n")
+            response = http.client.HTTPResponse(sock, method="GET")
+            response.begin()
+            body = json.loads(response.read())
+            headers = dict(response.getheaders())
+        assert_v2_error(response.status, headers, body, 400, "BAD_REQUEST")
+        request_id = headers["X-Request-Id"]
+        _status, _headers, logs = raw_exchange(
+            server, "GET", "/v2/runtime/logs?trace_id={}".format(request_id))
+        handled = [record for record in logs["data"]["records"]
+                   if record["event"] == "request.handled"]
+        assert [(r["route"], r["status"]) for r in handled] == [("unmatched", 400)]
+        metrics = http.client.HTTPConnection(server.host, server.port, timeout=5)
+        try:
+            metrics.request("GET", "/v2/metrics")
+            exposition = metrics.getresponse().read().decode("utf-8")
+        finally:
+            metrics.close()
+        assert any(line.startswith("gelee_api_requests_total{")
+                   and 'route="unmatched"' in line and 'status="400"' in line
+                   for line in exposition.splitlines())
+
     def test_too_many_headers_answers_a_json_431_and_closes(self, live):
         headers = {"X-Filler-{}".format(index): "x" for index in range(101)}
         status, response_headers, body = raw_exchange(

@@ -898,7 +898,7 @@ class TestServicePersistence:
         assert checkpoint.status == 201
         assert checkpoint.body["data"]["instances_flushed"] == 1
         stats = router.get("/v2/runtime/stats")
-        assert stats.body["data"]["persistence_enabled"] is True
+        assert stats.body["data"]["journal_seq"] >= 1
         service.close()
 
         # Restart: same config, state comes back before the first request.
@@ -918,7 +918,7 @@ class TestServicePersistence:
         assert checkpoint.status == 400
         assert checkpoint.body["error"]["code"] == "BAD_REQUEST"
         stats = router.get("/v2/runtime/stats")
-        assert stats.body["data"]["persistence_enabled"] is False
+        assert "journal_seq" not in stats.body["data"]
         with pytest.raises(ServiceError):
             GeleeService().persistence_checkpoint()
 

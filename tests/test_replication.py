@@ -291,7 +291,7 @@ class TestReadOnlyServing:
         assert summary.body["data"]["replication"]["lag_records"] == 0
         stats = router.handle(Request("GET", "/v2/runtime/stats"))
         assert stats.body["data"]["read_only"] is True
-        assert stats.body["data"]["replication_role"] == "replica"
+        assert stats.body["data"]["role"] == "replica"
 
     def test_replica_rejects_v2_mutations_with_409_and_hint(self, root):
         primary, replica, ids = self.build_pair(root)
@@ -371,12 +371,19 @@ class TestPromotion:
         model = replication_model()
         primary.manager.publish_model(model, actor="alice")
         ids = seed_instances(primary, model, 2)
-        replica = ReadReplica(JournalShippingSource(config))
+        replica = ReadReplica(JournalShippingSource(config),
+                              primary_hint="gelee-primary:8080")
         replica.sync()
+        service = replica.service
+        assert (service.read_only, service.manager.read_only,
+                service.scheduler.dormant) == (True, True, True)
         report = replica.promote()
         assert report["promoted"] is True
         assert report["journal_seq"] == replica.applied_seq
-        assert replica.service.read_only is False
+        # One switch: kernel, scheduler and hint flip together.
+        assert (service.read_only, service.manager.read_only,
+                service.scheduler.dormant, service.primary_hint) == (
+                    False, False, False, None)
         assert replica.role == "primary"
         replica.service.manager.advance(ids[0], actor="alice",
                                         to_phase_id="review")

@@ -200,7 +200,7 @@ class TestShardedService:
             "D1.1", owner="alice")
         created = service.create_instance(model.uri, doc.to_dict(), owner="alice")
         assert created["status"] == "created"
-        assert service.runtime_stats()["dispatch"]["mode"] == "pooled"
+        assert service.node_status()["dispatch"]["mode"] == "pooled"
         service.close()
         assert manager.worker_pool is None
 

@@ -782,8 +782,7 @@ class TestSchedulerApi:
         assert rollup["escalations_fired"] == 6
         summary = client.monitoring_summary()
         assert summary["escalated"] == 6
-        stats = client.runtime_stats()
-        assert stats["scheduler_enabled"] is True
+        assert client.scheduler_status()["enabled"] is True
 
     def test_scheduler_escalates_under_a_closed_world_policy(self):
         """The scheduler actor is a system principal: a closed-world

@@ -15,6 +15,7 @@ from repro.service.v2 import (
     encode_cursor,
     error_info_for,
 )
+from repro.telemetry import get_registry
 
 
 @pytest.fixture
@@ -131,13 +132,22 @@ class TestEnvelopeAndMiddleware:
         assert first != second
 
     def test_timing_stats_feed_runtime_stats(self, router, model_uri):
+        registry = get_registry()
+        counter = registry.get("gelee_api_requests_total")
+        latency = registry.get("gelee_api_request_seconds")
+
+        def observed():
+            return sum(cell["count"] for cell in latency.snapshot()["series"]
+                       if cell["labels"]["route"] == "GET /v2/models")
+
+        before = counter.value(route="GET /v2/models", status="200")
+        observed_before = observed()
         router.get("/v2/models")
         router.get("/v2/models")
+        assert counter.value(route="GET /v2/models", status="200") == before + 2
+        assert observed() == observed_before + 2
         stats = router.get("/v2/runtime/stats").body["data"]
-        assert stats["api"]["requests"] >= 2
-        route_stats = stats["api"]["routes"]["GET /v2/models"]
-        assert route_stats["requests"] == 2
-        assert route_stats["avg_ms"] >= 0.0
+        assert stats["telemetry"]["api_requests"] >= 2
 
     def test_405_for_known_path_wrong_method(self, router):
         response = router.post("/v2/models/detail")

@@ -3,8 +3,8 @@
 Covers the metrics registry (instruments, exposition, isolation), trace
 propagation from the gateway through dispatch to the journal and the
 replication stream (PR 8's correlation story), the ``/v2/metrics`` and
-``/v2/runtime/telemetry`` routes on primary and replica, the stable
-``runtime_stats`` dispatch schema, and the structured log emitter.
+``/v2/runtime/telemetry`` routes on primary and replica, the one node
+document and its stable ``dispatch`` schema, and the structured log emitter.
 
 PR 9 adds the span layer and the SLO engine: span-tree construction and
 thread-hop parenting, the ``SpanStore`` ring with slow-trace retention,
@@ -302,10 +302,11 @@ class TestGatewayObservability:
         router = RestRouter()
         router.get("/v2/models")
         router.get("/v2/instances/missing")
-        snapshot = router.stats.snapshot()
-        assert snapshot["requests"] == 2
-        assert snapshot["errors"] == 1
         counter = fresh_registry.get("gelee_api_requests_total")
+        cells = counter.snapshot()["series"]
+        assert sum(cell["value"] for cell in cells) == 2
+        assert sum(cell["value"] for cell in cells
+                   if int(cell["labels"]["status"]) >= 400) == 1
         assert counter.value(route="GET /v2/models", status="200") == 1
         assert counter.value(route="GET /v2/instances/{instance_id}",
                              status="404") == 1
@@ -389,7 +390,7 @@ class TestTelemetryRoutes:
         assert response.status == 200
         data = response.body["data"]
         assert data["enabled"] is True
-        assert data["node"]["replication_role"] == "primary"
+        assert data["node"]["role"] == "primary"
         names = {metric["name"] for metric in data["metrics"]}
         assert "gelee_api_requests_total" in names
 
@@ -432,29 +433,97 @@ class TestTelemetryRoutes:
 
 # ======================================================== runtime_stats schema
 class TestRuntimeStatsSchema:
-    DISPATCH_KEYS = {"mode", "in_flight", "queue_depth", "worker_pool"}
+    """``/v2/runtime/stats``, ``/runtime/stats`` and
+    ``/v2/runtime/cluster/self`` serve one document, on every deployment."""
+
+    DISPATCH_KEYS = {"mode", "in_flight", "queue_depth", "worker_pool",
+                     "operations_pool", "operations"}
+    #: Every deployment's keys; durable, replicated and coordinated nodes
+    #: add ``journal_seq``, ``replication`` and ``coordination``.
+    NODE_KEYS = {"node_id", "role", "read_only", "primary_hint",
+                 "captured_at", "instances", "events_published", "by_status",
+                 "pending_timers", "dispatch", "telemetry", "alerts",
+                 "observability", "deltas"}
 
     def test_single_manager_schema(self):
         service = GeleeService(clock=SimulatedClock())
-        stats = service.runtime_stats()
-        assert set(stats["dispatch"]) == self.DISPATCH_KEYS
-        assert stats["dispatch"]["mode"] == "inline"
-        assert stats["dispatch"]["worker_pool"] is None
+        dispatch = service.node_status()["dispatch"]
+        assert set(dispatch) == self.DISPATCH_KEYS
+        assert dispatch["mode"] == "inline"
+        assert dispatch["worker_pool"] is None
+        assert dispatch["queue_depth"] == 0
         service.close()
 
     def test_sharded_pooled_schema_surfaces_queue_depth(self):
-        service = GeleeService(clock=SimulatedClock(),
-                               completion_workers=2)
-        stats = service.runtime_stats()
-        assert set(stats["dispatch"]) == self.DISPATCH_KEYS
-        assert stats["dispatch"]["mode"] == "pooled"
-        assert stats["dispatch"]["worker_pool"]["workers"] >= 1
-        assert stats["dispatch"]["queue_depth"] == \
-            stats["dispatch"]["worker_pool"]["queued"]
-        # Legacy flat keys stay for older dashboards.
-        assert stats["dispatch_mode"] == "pooled"
-        assert stats["in_flight_actions"] == stats["dispatch"]["in_flight"]
+        service = GeleeService(clock=SimulatedClock(), completion_workers=2)
+        dispatch = service.node_status()["dispatch"]
+        assert set(dispatch) == self.DISPATCH_KEYS
+        assert dispatch["mode"] == "pooled"
+        assert dispatch["worker_pool"]["workers"] >= 1
+        assert dispatch["queue_depth"] == dispatch["worker_pool"]["queued"]
         service.close()
+
+    def test_counts_and_operations_ride_the_document(self):
+        service = GeleeService(clock=SimulatedClock())
+        model = simple_model()
+        service.manager.publish_model(model, actor="alice")
+        make_instance(service, model)
+        service.operations.wait(
+            service.operations.submit("noop", lambda: None).operation_id)
+        status = service.node_status()
+        assert status["instances"] == 1
+        assert status["by_status"] == {"created": 1}
+        assert status["events_published"] >= 2
+        assert status["dispatch"]["operations"] == 1
+        assert status["dispatch"]["operations_pool"]["workers"] >= 1
+        service.close()
+
+    def build(self, kind, root):
+        """``(router, closers)`` for one deployment shape."""
+        clock = SimulatedClock()
+        if kind == "inline":
+            service = GeleeService(clock=clock)
+        elif kind == "pooled":
+            service = GeleeService(clock=clock, completion_workers=2)
+        elif kind == "durable":
+            service = GeleeService(clock=clock, persistence=PersistenceConfig(
+                os.path.join(root, "durable"), fsync="never"))
+        elif kind == "coordinated":
+            from repro.coordination import CoordinationConfig, MemoryLeaseStore
+
+            service = GeleeService(clock=clock, coordination=CoordinationConfig(
+                store=MemoryLeaseStore(clock=clock), ttl_seconds=10.0))
+        else:
+            config = PersistenceConfig(os.path.join(root, "primary"),
+                                       fsync="never")
+            primary = GeleeService(clock=clock, persistence=config)
+            ReplicationPrimary(primary)
+            primary.manager.publish_model(simple_model(), actor="alice")
+            replica = ReadReplica(JournalShippingSource(config),
+                                  clock=SimulatedClock())
+            replica.sync()
+            return replica.router(), [replica.service, primary]
+        return RestRouter(service=service), [service]
+
+    @pytest.mark.parametrize("kind", ["inline", "pooled", "durable",
+                                      "replica", "coordinated"])
+    def test_three_routes_serve_the_same_document(self, kind, root):
+        router, closers = self.build(kind, root)
+        try:
+            v2 = router.get("/v2/runtime/stats").body["data"]
+            v1 = router.get("/runtime/stats").body
+            own = router.get("/v2/runtime/cluster/self").body["data"]
+            assert set(v2) == set(v1) == set(own) == set(
+                router.service.node_status())
+            extra = {"durable": {"journal_seq"}, "replica": {"replication"},
+                     "coordinated": {"coordination"}}.get(kind, set())
+            assert set(v2) == self.NODE_KEYS | extra
+            assert set(v2["dispatch"]) == self.DISPATCH_KEYS
+            assert v2["read_only"] is (kind == "replica")
+            assert v2["role"] == ("replica" if kind == "replica" else "primary")
+        finally:
+            for service in closers:
+                service.close()
 
 
 # ================================================================ structured log
