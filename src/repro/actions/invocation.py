@@ -11,9 +11,11 @@ purposes." (§IV.C)
 The model also fixes the concurrency semantics: "All actions associated to a
 phase are executed in parallel and anyway in a non-deterministic order …
 Actions are not guaranteed to succeed and there is no transactional semantic."
-(§IV.A).  :class:`InvocationDispatcher` honours that: it dispatches every
-action of a phase independently, shuffles the order, isolates failures, and
-reports each outcome through the callback.
+(§IV.A).  :class:`InvocationDispatcher` honours that: it runs every
+action independently and isolates failures, recording each outcome as a
+status message on its invocation; the kernel shuffles a phase's actions
+before submitting them.  Progress an action reports through its callback
+URI arrives at :meth:`~repro.runtime.manager.LifecycleManager.handle_callback`.
 """
 
 from __future__ import annotations
@@ -193,9 +195,6 @@ class ActionInvocation:
         return invocation
 
 
-# Callback contract: callable(callback_uri, invocation, message) -> None
-CallbackHandler = Callable[[str, ActionInvocation, StatusMessage], None]
-
 # Completion contract: callable(pending, result, error) -> None.  The
 # receiver is responsible for calling ``dispatcher.complete`` (under
 # whatever lock owns the invocation's instance) and must not raise.
@@ -230,18 +229,17 @@ class PendingInvocation:
 
 
 class InvocationDispatcher:
-    """Executes the resolved actions of a phase with the paper's semantics.
+    """Executes resolved actions with the paper's semantics.
 
-    * every action is invoked independently, in a shuffled order
-      (non-deterministic order, no sequencing guarantees),
+    * every action is invoked independently (no sequencing guarantees),
     * a failing action does not prevent the others from running
       (no transactional semantics),
-    * each outcome is reported to the callback as a status message.
+    * each outcome is recorded on its invocation as a status message.
 
-    The ``rng`` argument makes the shuffling — and the optional simulated
-    action latency — reproducible in tests and benchmarks; when omitted a
-    seeded RNG (:data:`DEFAULT_RNG_SEED`) is used so two identical runs
-    produce identical traces.
+    The ``rng`` argument makes the optional simulated action latency
+    reproducible in tests and benchmarks; when omitted a seeded RNG
+    (:data:`DEFAULT_RNG_SEED`) is used so two identical runs produce
+    identical traces.
 
     ``simulated_latency`` is a ``(min_seconds, max_seconds)`` range; when
     non-zero, every dispatched action sleeps a uniformly sampled wall-clock
@@ -255,18 +253,15 @@ class InvocationDispatcher:
     RUNNING, samples its latency and hands a completion task to the
     ``completion_executor``; when the task finishes it delivers the outcome
     through the completion handler, which calls :meth:`complete` under the
-    lock that owns the invocation.  The classic synchronous entry points
-    (:meth:`dispatch` / :meth:`dispatch_one`) are thin submit+wait wrappers
-    — with the default inline executor they behave exactly as before.
+    lock that owns the invocation.  ``submit(...).wait()`` is the
+    synchronous form.
     """
 
     def __init__(self, clock: Clock = None, rng: random.Random = None,
-                 callback: CallbackHandler = None,
                  simulated_latency: Tuple[float, float] = (0.0, 0.0),
                  completion_executor: CompletionExecutor = None):
         self._clock = clock or SystemClock()
         self._rng = rng or random.Random(DEFAULT_RNG_SEED)
-        self._callback = callback
         low, high = simulated_latency
         if low < 0 or high < low:
             raise ValueError("simulated_latency must satisfy 0 <= min <= max")
@@ -332,37 +327,6 @@ class InvocationDispatcher:
             self._finish(invocation, ActionStatus.COMPLETED, result=result or {})
         return invocation
 
-    # ------------------------------------------------------ synchronous facade
-    def dispatch(self, invocations: List[ActionInvocation],
-                 executor: Callable[[ActionInvocation], Dict[str, Any]]) -> List[ActionInvocation]:
-        """Run ``executor`` for every invocation, in a non-deterministic order.
-
-        Submit+wait over the configured executor.  Do not call this while
-        holding the lock a pooled completion needs to re-acquire — use
-        :meth:`submit` there and wait after releasing the lock.
-        """
-        ordered = list(invocations)
-        self._rng.shuffle(ordered)
-        for pending in [self.submit(invocation, executor) for invocation in ordered]:
-            pending.wait()
-        return invocations
-
-    def dispatch_one(self, invocation: ActionInvocation,
-                     executor: Callable[[ActionInvocation], Dict[str, Any]]) -> ActionInvocation:
-        """Run a single invocation, capturing failure instead of propagating it."""
-        self.submit(invocation, executor).wait()
-        return invocation
-
-    def report_progress(self, invocation: ActionInvocation, status: str,
-                        detail: str = "", **payload: Any) -> StatusMessage:
-        """Send an arbitrary (informational) progress message through the callback."""
-        message = StatusMessage(status=status, detail=detail, timestamp=self._clock.now(),
-                                payload=payload)
-        invocation.record(message)
-        if self._callback is not None and invocation.callback_uri:
-            self._callback(invocation.callback_uri, invocation, message)
-        return message
-
     # ----------------------------------------------------------------- internal
     def _sample_latency(self) -> float:
         """Draw the simulated round-trip for one submission.
@@ -391,5 +355,3 @@ class InvocationDispatcher:
                                 timestamp=invocation.finished_at,
                                 payload=dict(result or {}))
         invocation.record(message)
-        if self._callback is not None and invocation.callback_uri:
-            self._callback(invocation.callback_uri, invocation, message)

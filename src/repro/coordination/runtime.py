@@ -206,7 +206,7 @@ class Coordinator:
                     pass  # lost the lease between the check and the release
             persistence = self._service.persistence
             if persistence is not None:
-                persistence.journal.clear_fence()
+                persistence.journal.set_fence(None)
             if self._owns_store:
                 self._store.close()
 

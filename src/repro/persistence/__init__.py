@@ -5,12 +5,13 @@ live for months — so runtime state must outlive any single process.  This
 package makes the runtime durable and restartable:
 
 * :mod:`~repro.persistence.journal` — a segmented JSONL write-ahead log of
-  every kernel event, with configurable fsync and torn-tail repair;
+  every kernel event, with configurable fsync and one commit rule that
+  readers and the writer's torn-tail repair share;
 * :mod:`~repro.persistence.snapshot` — atomic point-in-time manifests of
   model / log state that bound replay length;
-* :mod:`~repro.persistence.store` — pluggable instance-state backends
-  (:class:`MemoryStore`, :class:`FileStore`, :class:`SQLiteStore`) behind
-  one :class:`InstanceStore` interface, indexed like the runtime;
+* :mod:`~repro.persistence.store` — the checkpoint target for instance
+  state: :class:`FileStore` or :class:`SQLiteStore` behind one
+  :class:`InstanceStore` interface (``upsert_many`` / ``all`` / ``count``);
 * :mod:`~repro.persistence.coordinator` — the bus subscriber that feeds
   the journal and materialises checkpoints;
 * :mod:`~repro.persistence.recovery` — snapshot restore plus journal-tail
@@ -45,25 +46,16 @@ from .recovery import (
     restore_snapshot,
 )
 from .snapshot import SnapshotManifest, SnapshotStore, capture_manifest
-from .store import (
-    INDEXED_COLUMNS,
-    FileStore,
-    InstanceStore,
-    MemoryStore,
-    SQLiteStore,
-    document_for,
-)
+from .store import FileStore, InstanceStore, SQLiteStore, document_for
 
 __all__ = [
     "BACKENDS",
     "FSYNC_POLICIES",
-    "INDEXED_COLUMNS",
     "FileStore",
     "InstanceStore",
     "Journal",
     "JournalRecord",
     "JournalReplayer",
-    "MemoryStore",
     "PersistenceConfig",
     "PersistenceCoordinator",
     "RecoveryReport",

@@ -40,10 +40,10 @@ from ..events import Event
 from ..telemetry import get_registry
 from .journal import Journal
 from .snapshot import SnapshotStore, capture_manifest
-from .store import FileStore, InstanceStore, MemoryStore, SQLiteStore, document_for
+from .store import FileStore, InstanceStore, SQLiteStore, document_for
 
 #: Backends selectable from :class:`PersistenceConfig`.
-BACKENDS = ("memory", "file", "sqlite")
+BACKENDS = ("file", "sqlite")
 
 
 @dataclass
@@ -54,8 +54,7 @@ class PersistenceConfig:
         directory: root directory; the journal lives in ``journal/``, the
             snapshots in ``snapshots/`` and the instance store in
             ``instances/`` (or ``instances.sqlite3``) beneath it.
-        backend: instance-store backend — ``"memory"``, ``"file"`` or
-            ``"sqlite"``.
+        backend: instance-store backend — ``"file"`` or ``"sqlite"``.
         fsync: journal fsync policy — ``"always"``, ``"interval"`` or
             ``"never"`` (see :mod:`repro.persistence.journal`).
         fsync_interval: appends between fsyncs under the interval policy.
@@ -110,8 +109,6 @@ class PersistenceConfig:
         return SnapshotStore(self.snapshot_directory, retain=self.snapshot_retain)
 
     def open_store(self) -> InstanceStore:
-        if self.backend == "memory":
-            return MemoryStore()
         if self.backend == "sqlite":
             return SQLiteStore(self.store_location)
         return FileStore(self.store_location)
@@ -267,12 +264,6 @@ class PersistenceCoordinator:
         """Flush dirty instances to the store and publish a snapshot.
 
         Returns a report dict (journal seq, instances flushed, timings).
-
-        Over a non-durable store (``MemoryStore``) the manifest is *not*
-        published and the journal is *not* truncated: the flushed documents
-        only exist in RAM, so the full journal must stay the authoritative
-        recovery source — otherwise a restart would silently lose every
-        checkpointed instance.  The report carries ``"durable": False``.
         """
         if self._closed:
             raise ServiceError("the persistence coordinator is closed")
@@ -298,11 +289,9 @@ class PersistenceCoordinator:
                         continue  # not an instance id (model/proposal subjects)
                     documents.append(document_for(instance, seq))
                 instance_total = self._manager.instance_count()
-                manifest = None
-                if self._store.durable:
-                    manifest = capture_manifest(self._manager, self._log, seq,
-                                                backend=self._store.backend_name,
-                                                timers=self._timers)
+                manifest = capture_manifest(self._manager, self._log, seq,
+                                            backend=self._store.backend_name,
+                                            timers=self._timers)
             # I/O phase — order is load-bearing: instance documents must be
             # durable *before* the manifest that claims to cover them, and
             # the journal may only be truncated after the manifest landed.
@@ -312,22 +301,20 @@ class PersistenceCoordinator:
             # only durable copy was the records being truncated.
             try:
                 flushed = self._store.upsert_many(documents)
-                if manifest is not None:
-                    self._snapshots.publish(manifest)
+                self._snapshots.publish(manifest)
             except BaseException:
                 self._dirty |= dirty
                 self._journal_failures += failures
                 raise
             self._journal.sync()
-            truncated = self._journal.truncate_through(seq) if manifest else []
+            truncated = self._journal.truncate_through(seq)
             self._last_checkpoint_seq = seq
             self._checkpoints += 1
         self._metric_checkpoint.observe(time.perf_counter() - started)
         self._metric_checkpoints.inc()
         return {
             "journal_seq": seq,
-            "durable": self._store.durable,
-            "snapshot_id": manifest.snapshot_id if manifest else None,
+            "snapshot_id": manifest.snapshot_id,
             "instances_flushed": flushed,
             "instances_total": instance_total,
             "journal_failures_repaired": failures,

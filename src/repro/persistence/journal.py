@@ -23,11 +23,14 @@ Design points, in the spirit of classic WAL implementations:
   OS (fastest; a host crash may lose the tail, a mere process crash does
   not).  Every append is *flushed* to the OS regardless, so readers in the
   same host always see complete data.
-* **Torn tails.**  A crash can leave a half-written final line.  The reader
-  tolerates exactly that — an undecodable *final* line of the *final*
-  segment is ignored; corruption anywhere else raises
+* **One commit rule.**  A record is committed when its line ends in a
+  newline and decodes.  A crash can leave a torn tail: a suffix of the
+  *final* segment with no committed record in it.  Every reader stops
+  before it and the writer truncates it on reopen, so both agree on the
+  head (an empty final segment proves ``first - 1``).  An undecodable line
+  in a sealed segment, or one followed by a committed record, raises
   :class:`~repro.errors.StorageError` because it means real damage, not an
-  interrupted append.
+  interrupted append.  :func:`_committed` is the only parser.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..errors import JournalTruncatedError, StorageError
 from ..events import Event
@@ -74,67 +77,112 @@ def list_segments(directory: str) -> List[str]:
     )
 
 
-def scan_oldest_seq(directory: str) -> int:
-    """The sequence number of the oldest record still on disk (0 when empty).
+def _committed(path: str, final: bool) -> Iterator[Tuple["JournalRecord", int]]:
+    """Yield ``(record, end_offset)`` for each committed record of a segment.
 
-    Read-only and best-effort: used for error reporting when a streaming
-    cursor turns out to predate the retained window.
+    The journal's one commit rule, shared by every reader and by the
+    writer's reopen: a record is committed when its line ends in a newline
+    and decodes.  In the ``final`` segment a suffix holding no committed
+    record is a torn tail (an interrupted append): iteration simply ends
+    before it.  An undecodable line in a sealed segment, or one followed by
+    a committed record, is damage and raises
+    :class:`~repro.errors.StorageError`.  ``end_offset`` is the byte
+    offset just past the record's line (the writer truncates to the last
+    one).  The file is read at the call, so a missing one raises
+    :class:`FileNotFoundError` there, not on the first ``next``.
     """
-    for name in list_segments(directory):
-        path = os.path.join(directory, name)
+    # Text, split on "\n" only; bytes that are not UTF-8 survive as lone
+    # surrogates, so a damaged tail is a bad line, never a failed read.
+    with open(path, encoding="utf-8", errors="surrogateescape",
+              newline="\n") as handle:
+        lines = handle.readlines()
+
+    def records() -> Iterator[Tuple[JournalRecord, int]]:
+        offset = 0
+        torn = None
+        for number, line in enumerate(lines, 1):
+            # The writer's lines are ASCII (json.dumps escapes the rest).
+            ascii_line = line.isascii()
+            offset += len(line) if ascii_line else \
+                len(line.encode("utf-8", "surrogateescape"))
+            try:
+                if not line.endswith("\n"):
+                    raise ValueError("no terminating newline")
+                if not ascii_line:
+                    line.encode("utf-8")  # raises on bytes that were not UTF-8
+                record = JournalRecord.from_dict(json.loads(line))
+            except (ValueError, KeyError, TypeError) as exc:
+                if not line.strip():
+                    continue
+                if not final:
+                    raise StorageError(
+                        "corrupt journal record in {!r} line {}: {}".format(
+                            path, number, exc))
+                torn = torn or (number, exc)
+                continue
+            if torn is not None:
+                raise StorageError(
+                    "corrupt journal record in {!r} line {} is followed by "
+                    "committed records: {}".format(path, *torn))
+            yield record, offset
+
+    return records()
+
+
+def _last_seq(directory: str, segments: List[str]) -> Tuple[int, int]:
+    """``(last committed seq, byte offset past it)`` of the final segment.
+
+    A final segment with no committed record proves only that ``first - 1``
+    was reached before it opened (its name is the seq of its first record).
+    """
+    name = segments[-1]
+    last_seq, end = (_segment_first_seq(name) or 1) - 1, 0
+    for record, end in _committed(os.path.join(directory, name), final=True):
+        last_seq = record.seq
+    return last_seq, end
+
+
+def scan_oldest_seq(directory: str) -> int:
+    """The sequence number of the oldest committed record on disk (0 when
+    there is none).
+
+    Read-only: used for error reporting when a streaming cursor turns out
+    to predate the retained window.
+    """
+    segments = list_segments(directory)
+    for position, name in enumerate(segments):
         try:
-            with open(path, encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        return int(json.loads(line)["seq"])
-                    except (ValueError, KeyError):
-                        continue
-        except OSError:
-            continue
+            for record, _ in _committed(os.path.join(directory, name),
+                                        final=position == len(segments) - 1):
+                return record.seq
+        except FileNotFoundError:
+            continue  # truncated away since the listing
     return 0
 
 
 def scan_last_seq(directory: str) -> int:
-    """The newest sequence number on disk — read-only, no torn-tail repair.
+    """The newest committed sequence number on disk — read-only.
 
-    The read-only sibling of :meth:`Journal._recover_last_seq` for
-    followers that observe another process's journal directory: it must
-    never truncate (repair is the *writer's* job on reopen) and it
-    tolerates a torn final line by simply not counting it.
+    The same answer the writer reaches on reopen (:class:`Journal`), without
+    its torn-tail repair: followers observing another process's directory
+    must never truncate.  Only the final segment is read.
     """
-    segments = list_segments(directory)
-    for name in reversed(segments):
-        path = os.path.join(directory, name)
-        last_seq = None
+    while True:
+        segments = list_segments(directory)
+        if not segments:
+            return 0
         try:
-            with open(path, encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        last_seq = int(json.loads(line)["seq"])
-                    except (ValueError, KeyError):
-                        continue  # torn tail (or mid-write line): skip
-        except OSError:
+            return _last_seq(directory, segments)[0]
+        except FileNotFoundError:
+            # The final segment can only vanish once a newer one exists
+            # (truncation never removes the newest): list again.
             continue
-        if last_seq is not None:
-            return last_seq
-        # An empty segment (crash between open and first append) still
-        # proves its name's sequence number was reached before it opened.
-        first = _segment_first_seq(name)
-        if first:
-            return first
-    return 0
 
 
 def scan_records(directory: str, after_seq: int = 0,
                  segments: List[str] = None,
                  strict: bool = False) -> Iterator[JournalRecord]:
-    """Yield records with ``seq > after_seq`` from a journal directory.
+    """Yield committed records with ``seq > after_seq`` from a journal directory.
 
     The shared read path of :meth:`Journal.read` (live journal, segments
     snapshotted under its lock) and the replication stream (read-only
@@ -164,8 +212,7 @@ def scan_records(directory: str, after_seq: int = 0,
                 continue
         path = os.path.join(directory, name)
         try:
-            with open(path, encoding="utf-8") as handle:
-                lines = handle.readlines()
+            committed = _committed(path, final=last_segment)
         except FileNotFoundError:
             raise JournalTruncatedError(
                 "journal segment {!r} was truncated away while reading; "
@@ -174,20 +221,7 @@ def scan_records(directory: str, after_seq: int = 0,
         except OSError as exc:
             raise StorageError("could not read journal segment {!r}: {}".format(
                 path, exc))
-        for index, line in enumerate(lines):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = JournalRecord.from_dict(json.loads(line))
-            except (ValueError, KeyError) as exc:
-                if last_segment and index == len(lines) - 1:
-                    # Torn tail from a crashed (or mid-append) writer: the
-                    # record never fully made it, so it never happened.
-                    return
-                raise StorageError(
-                    "corrupt journal record in {!r} line {}: {}".format(
-                        path, index + 1, exc))
+        for record, _ in committed:
             if record.seq > after_seq:
                 if strict and record.seq != expected:
                     raise JournalTruncatedError(
@@ -394,7 +428,8 @@ class Journal:
                            state=state)
 
     def set_fence(self, guard) -> None:
-        """Install a fencing guard; every append checks it first.
+        """Install a fencing guard (``None`` removes it); every append
+        checks it first.
 
         ``guard`` is anything with a ``check()`` that raises
         :class:`~repro.errors.StaleFencingTokenError` for a superseded
@@ -403,10 +438,6 @@ class Journal:
         """
         with self._lock:
             self._fence = guard
-
-    def clear_fence(self) -> None:
-        with self._lock:
-            self._fence = None
 
     def wait_for_seq(self, seq: int, timeout: float = None) -> int:
         """Block until the journal head reaches ``seq``; returns the head.
@@ -567,59 +598,25 @@ class Journal:
         self._unsynced = 0
 
     def _recover_last_seq(self) -> int:
-        """Find the highest sequence number on disk, repairing a torn tail.
+        """Find the newest committed sequence number, repairing a torn tail.
 
-        A crashed writer can leave a half-written final line in the last
-        segment.  That fragment is *truncated away* here (the record never
-        committed, so it never happened) — otherwise a later append to the
-        same segment would concatenate onto the fragment and corrupt both
-        records.  Only the last segment can be torn: older segments are
-        sealed at rotation and never written again.
+        The commit rule is :func:`_committed`'s, so the writer and every
+        reader agree on the head.  A torn tail of the final segment is
+        *truncated away* here (the record never committed, so it never
+        happened) — otherwise a later append to the same segment would
+        concatenate onto the fragment and corrupt both records.  Only the
+        final segment can be torn: older segments are sealed at rotation
+        and never written again.
         """
         segments = self.segment_files()
         if not segments:
             return 0
         path = os.path.join(self._directory, segments[-1])
-        # A segment that never received its first record (crash between open
-        # and write) proves only that seq ``first - 1`` was reached before it.
-        first = _segment_first_seq(segments[-1])
-        last_seq = (first - 1) if first else 0
         try:
-            with open(path, "rb") as handle:
-                data = handle.read()
+            last_seq, end = _last_seq(self._directory, segments)
+            if end < os.path.getsize(path):
+                os.truncate(path, end)
         except OSError as exc:
-            raise StorageError("could not open journal segment {!r}: {}".format(
+            raise StorageError("could not repair journal segment {!r}: {}".format(
                 path, exc))
-        offset = 0
-        valid_end = 0
-        saw_bad_line = False
-        while offset < len(data):
-            newline = data.find(b"\n", offset)
-            if newline == -1:
-                break  # unterminated fragment: provably a torn append
-            line = data[offset:newline].strip()
-            offset = newline + 1
-            if not line:
-                continue
-            try:
-                seq = int(json.loads(line.decode("utf-8"))["seq"])
-            except (ValueError, KeyError, UnicodeDecodeError):
-                # Only tolerable as the *trailing* damage of a crash.  If
-                # valid records follow, truncating here would destroy
-                # committed data — that is corruption, and it must raise
-                # exactly like read() does, never silently repair.
-                saw_bad_line = True
-                continue
-            if saw_bad_line:
-                raise StorageError(
-                    "corrupt journal record followed by valid data in {!r}; "
-                    "refusing to repair".format(path))
-            last_seq = seq
-            valid_end = offset
-        if valid_end < len(data):
-            try:
-                os.truncate(path, valid_end)
-            except OSError as exc:
-                raise StorageError("could not repair journal segment {!r}: {}".format(
-                    path, exc))
         return last_seq

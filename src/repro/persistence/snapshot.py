@@ -10,7 +10,7 @@ two halves:
   manifest or the previous one, never a half-written file;
 * the **instance payloads**: one full state document per instance, kept in
   the configured :class:`~repro.persistence.store.InstanceStore` backend
-  (memory / JSON files / SQLite) and flushed by the coordinator *before*
+  (JSON files or SQLite) and flushed by the coordinator *before*
   the manifest is published — a manifest therefore never refers to
   instance state that is not already durable.
 
@@ -51,7 +51,7 @@ class SnapshotManifest:
     #: manifests lack the key — recovery treats that as "no pending timers".
     scheduler: Dict[str, Any] = field(default_factory=dict)
     instance_count: int = 0
-    backend: str = "memory"
+    backend: str = "file"
     snapshot_id: str = field(default_factory=lambda: new_id("snap"))
 
     def to_dict(self) -> Dict[str, Any]:
@@ -75,13 +75,13 @@ class SnapshotManifest:
             log=dict(data.get("log") or {}),
             scheduler=dict(data.get("scheduler") or {}),
             instance_count=int(data.get("instance_count", 0)),
-            backend=data.get("backend", "memory"),
+            backend=data.get("backend", "file"),
             snapshot_id=data.get("snapshot_id") or new_id("snap"),
         )
 
 
 def capture_manifest(manager, log, journal_seq: int,
-                     backend: str = "memory", timers=None) -> SnapshotManifest:
+                     backend: str = "file", timers=None) -> SnapshotManifest:
     """Build a manifest from a (quiesced) manager and execution log.
 
     The caller is responsible for holding the runtime still (see

@@ -1,21 +1,21 @@
-"""Pluggable instance stores: where snapshotted instance state lives.
+"""Instance stores: where checkpointed instance state lives.
 
-One interface, three backends:
+An :class:`InstanceStore` is a checkpoint target, not a query engine: the
+coordinator writes a batch of documents per checkpoint (``upsert_many``),
+and recovery and replication bootstrap read them all back (``all``).  Two
+durable backends:
 
-* :class:`MemoryStore` — dictionaries plus per-dimension indexes; no I/O.
-  Useful in tests and for rebuilding a manager inside one process.
 * :class:`FileStore` — one JSON document per instance, built on the data
-  tier's :class:`~repro.storage.repository.FileRepository` (atomic writes,
-  secondary indexes), so the persistence layer and the generic document
-  tier share one on-disk idiom.
-* :class:`SQLiteStore` — a ``sqlite3`` (stdlib) database in WAL mode with
-  one indexed column per PR 1 secondary index (model / owner / resource /
-  phase / status), so ``query()`` is a real indexed SQL query and a cold
-  process can filter millions of instances without loading them all.
+  tier's :class:`~repro.storage.repository.FileRepository` (atomic writes),
+  so the persistence layer and the generic document tier share one on-disk
+  idiom.
+* :class:`SQLiteStore` — a ``sqlite3`` (stdlib) database in WAL mode, one
+  row per instance.
 
-Documents are flat dicts shaped by :func:`document_for`: the indexable
-columns, the journal sequence number the document reflects (``journal_seq``
-— replay skips records a stored document already includes), and the full
+Documents are flat dicts shaped by :func:`document_for`: the instance's
+model / owner / resource / phase / status, the journal sequence number the
+document reflects (``journal_seq`` — replay skips records a stored document
+already includes), and the full
 :meth:`~repro.runtime.instance.LifecycleInstance.to_state_dict` under
 ``state``.
 """
@@ -26,13 +26,10 @@ import json
 import os
 import sqlite3
 import threading
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List
 
 from ..errors import StorageError
 from ..storage.repository import FileRepository
-
-#: The queryable columns, mirroring the runtime's secondary indexes.
-INDEXED_COLUMNS = ("model_uri", "owner", "resource_uri", "phase_id", "status")
 
 
 def document_for(instance, journal_seq: int) -> Dict[str, Any]:
@@ -52,129 +49,25 @@ def document_for(instance, journal_seq: int) -> Dict[str, Any]:
 class InstanceStore:
     """Interface of the instance-state backends.
 
-    ``upsert`` is last-writer-wins by ``instance_id``; ``query`` answers
-    equality filters on the :data:`INDEXED_COLUMNS` without scanning
-    documents that cannot match (each backend keeps real indexes).
-
-    ``durable`` declares whether documents survive the process.  The
-    coordinator only publishes snapshot manifests — and only truncates the
-    journal — over durable backends: a manifest is a promise that
-    everything at or below its ``journal_seq`` is recoverable *outside*
-    the journal, which a RAM-only store cannot keep across a restart.
+    ``upsert_many`` is last-writer-wins by ``instance_id`` and returns how
+    many documents it wrote; ``all`` answers every document, ordered by
+    ``instance_id``.  Both backends are durable: the coordinator truncates
+    the journal on the strength of what ``upsert_many`` wrote.
     """
 
     backend_name = "abstract"
-    durable = True
-
-    def upsert(self, document: Dict[str, Any]) -> None:
-        raise NotImplementedError
 
     def upsert_many(self, documents: Iterable[Dict[str, Any]]) -> int:
-        count = 0
-        for document in documents:
-            self.upsert(document)
-            count += 1
-        return count
-
-    def get(self, instance_id: str) -> Optional[Dict[str, Any]]:
         raise NotImplementedError
 
     def all(self) -> List[Dict[str, Any]]:
         raise NotImplementedError
 
-    def ids(self) -> List[str]:
-        raise NotImplementedError
-
     def count(self) -> int:
-        raise NotImplementedError
-
-    def query(self, **filters: Any) -> List[Dict[str, Any]]:
-        raise NotImplementedError
-
-    def clear(self) -> None:
         raise NotImplementedError
 
     def close(self) -> None:
         """Release any underlying handles; the store may not be used after."""
-
-    # ------------------------------------------------------------------ shared
-    @staticmethod
-    def _check_filters(filters: Dict[str, Any]) -> Dict[str, Any]:
-        unknown = sorted(set(filters) - set(INDEXED_COLUMNS))
-        if unknown:
-            raise StorageError(
-                "cannot query on {}; indexed columns are {}".format(
-                    ", ".join(unknown), ", ".join(INDEXED_COLUMNS)))
-        return {key: value for key, value in filters.items() if value is not None}
-
-
-class MemoryStore(InstanceStore):
-    """In-process store: a dict of documents plus per-column index dicts.
-
-    Not durable: useful for tests and same-process rebuilds; a deployment
-    using it stays recoverable through the full journal instead of
-    snapshots (the coordinator never truncates over this backend).
-    """
-
-    backend_name = "memory"
-    durable = False
-
-    def __init__(self):
-        self._documents: Dict[str, Dict[str, Any]] = {}
-        #: column -> key -> set of instance ids.
-        self._indexes: Dict[str, Dict[Any, set]] = {
-            column: {} for column in INDEXED_COLUMNS}
-        self._lock = threading.Lock()
-
-    def upsert(self, document: Dict[str, Any]) -> None:
-        instance_id = document["instance_id"]
-        with self._lock:
-            previous = self._documents.get(instance_id)
-            if previous is not None:
-                self._unindex(instance_id, previous)
-            self._documents[instance_id] = document
-            for column in INDEXED_COLUMNS:
-                self._indexes[column].setdefault(
-                    document.get(column), set()).add(instance_id)
-
-    def get(self, instance_id: str) -> Optional[Dict[str, Any]]:
-        with self._lock:
-            return self._documents.get(instance_id)
-
-    def all(self) -> List[Dict[str, Any]]:
-        with self._lock:
-            return [self._documents[key] for key in sorted(self._documents)]
-
-    def ids(self) -> List[str]:
-        with self._lock:
-            return sorted(self._documents)
-
-    def count(self) -> int:
-        with self._lock:
-            return len(self._documents)
-
-    def query(self, **filters: Any) -> List[Dict[str, Any]]:
-        filters = self._check_filters(filters)
-        with self._lock:
-            if not filters:
-                return [self._documents[key] for key in sorted(self._documents)]
-            # Intersect starting from the most selective index bucket.
-            buckets = [self._indexes[column].get(value, set())
-                       for column, value in filters.items()]
-            matched = set.intersection(*sorted(buckets, key=len))
-            return [self._documents[key] for key in sorted(matched)]
-
-    def clear(self) -> None:
-        with self._lock:
-            self._documents.clear()
-            for column in INDEXED_COLUMNS:
-                self._indexes[column].clear()
-
-    def _unindex(self, instance_id: str, document: Dict[str, Any]) -> None:
-        for column in INDEXED_COLUMNS:
-            members = self._indexes[column].get(document.get(column))
-            if members is not None:
-                members.discard(instance_id)
 
 
 class FileStore(InstanceStore):
@@ -190,17 +83,10 @@ class FileStore(InstanceStore):
 
     def __init__(self, directory: str):
         self._repository = FileRepository(directory, name="instances", fsync=True)
-        for column in INDEXED_COLUMNS:
-            self._repository.create_index(
-                column, lambda document, column=column: document.get(column))
 
     @property
     def directory(self) -> str:
         return self._repository.directory
-
-    def upsert(self, document: Dict[str, Any]) -> None:
-        self._repository.put(document["instance_id"], document)
-        self._repository.sync_directory()
 
     def upsert_many(self, documents: Iterable[Dict[str, Any]]) -> int:
         count = 0
@@ -211,38 +97,15 @@ class FileStore(InstanceStore):
             self._repository.sync_directory()
         return count
 
-    def get(self, instance_id: str) -> Optional[Dict[str, Any]]:
-        record = self._repository.get(instance_id)
-        return record.document if record is not None else None
-
     def all(self) -> List[Dict[str, Any]]:
         return [record.document for record in self._repository.all()]
-
-    def ids(self) -> List[str]:
-        return self._repository.ids()
 
     def count(self) -> int:
         return self._repository.count()
 
-    def query(self, **filters: Any) -> List[Dict[str, Any]]:
-        filters = self._check_filters(filters)
-        if not filters:
-            return self.all()
-        column, value = next(iter(filters.items()))
-        candidates = self._repository.find_by(column, value)
-        rest = {c: v for c, v in filters.items() if c != column}
-        return [
-            record.document for record in candidates
-            if all(record.document.get(c) == v for c, v in rest.items())
-        ]
-
-    def clear(self) -> None:
-        for instance_id in self._repository.ids():
-            self._repository.delete(instance_id)
-
 
 class SQLiteStore(InstanceStore):
-    """SQLite-backed store: WAL mode, one indexed column per runtime index."""
+    """SQLite-backed store: WAL mode, one row per instance."""
 
     backend_name = "sqlite"
 
@@ -276,10 +139,6 @@ class SQLiteStore(InstanceStore):
             # extra fsync is paid per checkpoint, not per instance.
             self._connection.execute("PRAGMA synchronous=FULL")
             self._connection.execute(self._SCHEMA)
-            for column in INDEXED_COLUMNS:
-                self._connection.execute(
-                    "CREATE INDEX IF NOT EXISTS idx_instances_{0} "
-                    "ON instances ({0})".format(column))
             self._connection.commit()
         except sqlite3.Error as exc:
             raise StorageError("could not open SQLite store {!r}: {}".format(
@@ -288,9 +147,6 @@ class SQLiteStore(InstanceStore):
     @property
     def path(self) -> str:
         return self._path
-
-    def upsert(self, document: Dict[str, Any]) -> None:
-        self.upsert_many([document])
 
     def upsert_many(self, documents: Iterable[Dict[str, Any]]) -> int:
         rows = [
@@ -318,52 +174,13 @@ class SQLiteStore(InstanceStore):
                 raise StorageError("SQLite upsert failed: {}".format(exc))
         return len(rows)
 
-    def get(self, instance_id: str) -> Optional[Dict[str, Any]]:
-        rows = self._select("WHERE instance_id = ?", [instance_id])
-        return rows[0] if rows else None
-
     def all(self) -> List[Dict[str, Any]]:
-        return self._select("ORDER BY instance_id", [])
-
-    def ids(self) -> List[str]:
-        with self._lock:
-            cursor = self._connection.execute(
-                "SELECT instance_id FROM instances ORDER BY instance_id")
-            return [row[0] for row in cursor.fetchall()]
-
-    def count(self) -> int:
-        with self._lock:
-            cursor = self._connection.execute("SELECT COUNT(*) FROM instances")
-            return int(cursor.fetchone()[0])
-
-    def query(self, **filters: Any) -> List[Dict[str, Any]]:
-        filters = self._check_filters(filters)
-        if not filters:
-            return self.all()
-        clauses = " AND ".join("{} = ?".format(column) for column in filters)
-        return self._select("WHERE {} ORDER BY instance_id".format(clauses),
-                            list(filters.values()))
-
-    def clear(self) -> None:
-        with self._lock:
-            self._connection.execute("DELETE FROM instances")
-            self._connection.commit()
-
-    def close(self) -> None:
         with self._lock:
             try:
-                self._connection.close()
-            except sqlite3.Error:
-                pass
-
-    def _select(self, suffix: str, parameters: List[Any]) -> List[Dict[str, Any]]:
-        with self._lock:
-            try:
-                cursor = self._connection.execute(
+                rows = self._connection.execute(
                     "SELECT instance_id, model_uri, owner, resource_uri, "
                     "phase_id, status, journal_seq, state FROM instances "
-                    + suffix, parameters)
-                rows = cursor.fetchall()
+                    "ORDER BY instance_id").fetchall()
             except sqlite3.Error as exc:
                 raise StorageError("SQLite query failed: {}".format(exc))
         return [
@@ -374,3 +191,15 @@ class SQLiteStore(InstanceStore):
             }
             for row in rows
         ]
+
+    def count(self) -> int:
+        with self._lock:
+            cursor = self._connection.execute("SELECT COUNT(*) FROM instances")
+            return int(cursor.fetchone()[0])
+
+    def close(self) -> None:
+        with self._lock:
+            try:
+                self._connection.close()
+            except sqlite3.Error:
+                pass

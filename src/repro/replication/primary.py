@@ -51,9 +51,10 @@ class ReplicationPrimary(ReplicationSource):
         """Snapshot shipping for a brand-new follower.
 
         Uses whatever snapshot exists; without one (young deployment, or a
-        memory store that never publishes manifests) the payload is empty
-        and the follower replays the journal from sequence 0 — the journal
-        is never truncated before a manifest exists, so that is complete.
+        crash between a store flush and the manifest publish) the payload
+        has no manifest and the follower replays the journal from sequence
+        0 — the journal is never truncated before a manifest exists, so
+        that is complete.
         """
         manifest = self._coordinator.snapshots.latest()
         return BootstrapPayload(manifest=manifest,

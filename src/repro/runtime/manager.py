@@ -214,7 +214,7 @@ class LifecycleManager:
             self._worker_pool = WorkerPool(completion_workers, name="gelee-kernel")
             completion_executor = PooledCompletionExecutor(self._worker_pool)
         self._dispatcher = InvocationDispatcher(
-            clock=self._clock, rng=self._rng, callback=self._deliver_callback,
+            clock=self._clock, rng=self._rng,
             simulated_latency=simulated_action_latency,
             completion_executor=completion_executor,
         )
@@ -1090,8 +1090,8 @@ class LifecycleManager:
             resolved, context = contexts[invocation.invocation_id]
             return resolved.implementation.callable(context)
 
-        # Shuffle here (with the same rng as before) to keep the paper's
-        # non-deterministic ordering and the seeded draw sequence intact.
+        # The paper's non-deterministic order (§IV.A): the one place a
+        # phase's actions are shuffled, under the kernel's seeded rng.
         ordered = list(invocations)
         self._rng.shuffle(ordered)
         for invocation in ordered:
@@ -1152,12 +1152,6 @@ class LifecycleManager:
                     self._in_flight_cv.notify_all()
 
         return self._dispatcher.submit(invocation, executor, on_complete=on_complete)
-
-    def _deliver_callback(self, callback_uri: str, invocation: ActionInvocation,
-                          message: StatusMessage) -> None:
-        """Dispatcher callback hook: in-process delivery of status messages."""
-        # The invocation object already records the message; the hook exists so
-        # the hosted service can forward callbacks over HTTP when configured.
 
     def _check_token_move(self, actor: str, instance: LifecycleInstance) -> None:
         if self._policy is None:

@@ -21,10 +21,10 @@ from __future__ import annotations
 import base64
 import binascii
 import json
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from ...bisection import bisect_by
 from ...errors import ServiceError
 
 DEFAULT_PAGE_SIZE = 50
@@ -147,11 +147,11 @@ def paginate(items: List[Any], page: PageRequest, sort_key: Callable[[Any], Any]
         if descending:
             # The list is ascending; a descending page is the slice just
             # before the cursor position, served in reverse.
-            end = bisect_left(keyed, after, key=key_of) if after is not None else len(keyed)
+            end = bisect_by(keyed, after, key_of) if after is not None else len(keyed)
             selected = keyed[max(0, end - page.page_size):end][::-1]
             has_more = end > page.page_size
         else:
-            start = bisect_right(keyed, after, key=key_of) if after is not None else 0
+            start = bisect_by(keyed, after, key_of, right=True) if after is not None else 0
             selected = keyed[start:start + page.page_size]
             has_more = start + len(selected) < len(keyed)
     except TypeError:

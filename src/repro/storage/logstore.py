@@ -9,11 +9,11 @@ history widgets query it.
 from __future__ import annotations
 
 import threading
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ..bisection import bisect_by
 from ..events import Event, EventBus
 
 
@@ -53,8 +53,7 @@ class LogEntry:
 class ExecutionLog:
     """Append-only log of kernel events with simple query support."""
 
-    def __init__(self, bus: EventBus = None, capacity: Optional[int] = None,
-                 max_entries: Optional[int] = None):
+    def __init__(self, bus: EventBus = None, max_entries: Optional[int] = None):
         """Create the log, optionally bounding how many entries it retains.
 
         ``max_entries`` is the retention policy: the log never holds more
@@ -63,12 +62,11 @@ class ExecutionLog:
         O(1) amortised instead of shifting the whole list on every append).
         Keyset cursors from :meth:`entries_page` survive compaction: cursors
         are sequence numbers, and a page simply resumes at the oldest
-        retained entry newer than the cursor.  ``capacity`` is the older
-        name for the same knob, kept for callers of the original API.
+        retained entry newer than the cursor.
         """
         self._entries: List[LogEntry] = []
         self._sequence = 0
-        self._max_entries = max_entries if max_entries is not None else capacity
+        self._max_entries = max_entries
         self._dropped = 0
         #: subject id -> entries about it, oldest first (an indexed lookup
         #: path: instance history queries don't scan the whole log).
@@ -207,8 +205,8 @@ class ExecutionLog:
             else:
                 source = self._entries
             total = len(source)
-            start = bisect_right(source, after_sequence,
-                                 key=lambda entry: entry.sequence)
+            start = bisect_by(source, after_sequence,
+                              key=lambda entry: entry.sequence, right=True)
             page = list(source[start:start + max(0, limit)])
             has_more = start + len(page) < total
         next_cursor = page[-1].sequence if page and has_more else None

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.actions import library
 from repro.actions.invocation import (
     ActionInvocation,
     ActionStatus,
@@ -12,6 +13,9 @@ from repro.actions.invocation import (
 )
 from repro.clock import SimulatedClock
 from repro.errors import ActionInvocationError
+from repro.model import LifecycleBuilder
+from repro.plugins import build_standard_environment
+from repro.runtime import LifecycleManager
 
 
 def _invocation(name="act", call_id="c1"):
@@ -56,7 +60,7 @@ class TestDispatcher:
     def test_successful_dispatch(self):
         dispatcher = InvocationDispatcher(clock=SimulatedClock(), rng=random.Random(1))
         invocation = _invocation()
-        dispatcher.dispatch_one(invocation, lambda inv: {"done": True})
+        assert dispatcher.submit(invocation, lambda inv: {"done": True}).wait()
         assert invocation.status is ActionStatus.COMPLETED
         assert invocation.result == {"done": True}
         assert invocation.finished_at is not None
@@ -68,7 +72,7 @@ class TestDispatcher:
         def explode(inv):
             raise ActionInvocationError("service unavailable")
 
-        dispatcher.dispatch_one(invocation, explode)
+        dispatcher.submit(invocation, explode).wait()
         assert invocation.status is ActionStatus.FAILED
         assert "service unavailable" in invocation.error
 
@@ -79,7 +83,7 @@ class TestDispatcher:
         def explode(inv):
             raise ValueError("bad input")
 
-        dispatcher.dispatch_one(invocation, explode)
+        dispatcher.submit(invocation, explode).wait()
         assert invocation.status is ActionStatus.FAILED
         assert "ValueError" in invocation.error
 
@@ -92,50 +96,45 @@ class TestDispatcher:
                 raise RuntimeError("boom")
             return {}
 
-        dispatcher.dispatch(invocations, executor)
+        for pending in [dispatcher.submit(inv, executor) for inv in invocations]:
+            pending.wait()
         statuses = {inv.action_name: inv.status for inv in invocations}
         assert statuses["a"] is ActionStatus.COMPLETED
         assert statuses["b"] is ActionStatus.FAILED
         assert statuses["c"] is ActionStatus.COMPLETED
 
     def test_dispatch_order_is_shuffled_but_input_preserved(self):
+        """The kernel shuffles a phase's actions (§IV.A: no order is
+        guaranteed) under its seeded RNG; the visit keeps model order."""
         clock = SimulatedClock()
-        executed = []
-        invocations = [_invocation(str(index), "c{}".format(index)) for index in range(6)]
-
-        def executor(invocation):
-            executed.append(invocation.action_name)
-            return {}
-
-        dispatcher = InvocationDispatcher(clock=clock, rng=random.Random(3))
-        result = dispatcher.dispatch(list(invocations), executor)
-        assert sorted(executed) == sorted(inv.action_name for inv in invocations)
-        assert executed != [inv.action_name for inv in invocations]  # shuffled with this seed
-        assert [inv.action_name for inv in result] == [inv.action_name for inv in invocations]
-
-    def test_callback_invoked_on_completion(self):
-        received = []
-
-        def callback(uri, invocation, message):
-            received.append((uri, message.status))
-
-        dispatcher = InvocationDispatcher(clock=SimulatedClock(), rng=random.Random(1),
-                                          callback=callback)
-        invocation = _invocation()
-        dispatcher.dispatch_one(invocation, lambda inv: {})
-        assert received == [(invocation.callback_uri, "completed")]
-
-    def test_report_progress_is_informational(self):
-        dispatcher = InvocationDispatcher(clock=SimulatedClock(), rng=random.Random(1))
-        invocation = _invocation()
-        message = dispatcher.report_progress(invocation, "2 of 3 reviews", detail="waiting")
-        assert message in invocation.messages
-        assert invocation.status is ActionStatus.PENDING
+        environment = build_standard_environment(clock=clock)
+        builder = LifecycleBuilder("Shuffled")
+        builder.phase("Work")
+        builder.terminal("End")
+        builder.flow("Work", "End")
+        names = ["step {}".format(index) for index in range(6)]
+        for name in names:
+            builder.action("Work", library.CHANGE_ACCESS_RIGHTS, name,
+                           visibility="team")
+        model = builder.build()
+        manager = LifecycleManager(environment, clock=clock, rng=random.Random(3))
+        manager.publish_model(model, actor="pm")
+        dispatched = []
+        manager.bus.subscribe("action.dispatched",
+                              lambda event: dispatched.append(event.payload["action_name"]))
+        resource = environment.adapter("Google Doc").create_resource("doc", owner="alice")
+        instance = manager.instantiate(model.uri, resource, owner="alice")
+        manager.start(instance.instance_id, actor="alice")
+        visit = manager.instance(instance.instance_id).current_visit()
+        assert sorted(dispatched) == names
+        assert dispatched != names  # shuffled with this seed
+        assert [inv.action_name for inv in visit.invocations] == names
+        assert {inv.status for inv in visit.invocations} == {ActionStatus.COMPLETED}
 
     def test_to_dict_includes_messages(self):
         dispatcher = InvocationDispatcher(clock=SimulatedClock(), rng=random.Random(1))
         invocation = _invocation()
-        dispatcher.dispatch_one(invocation, lambda inv: {"x": 1})
+        dispatcher.submit(invocation, lambda inv: {"x": 1}).wait()
         document = invocation.to_dict()
         assert document["status"] == "completed"
         assert document["messages"][-1]["status"] == "completed"

@@ -21,7 +21,7 @@ from repro.model import LifecycleBuilder
 from repro.persistence import (
     FileStore,
     Journal,
-    MemoryStore,
+    JournalRecord,
     PersistenceConfig,
     PersistenceCoordinator,
     SQLiteStore,
@@ -29,6 +29,8 @@ from repro.persistence import (
     SnapshotStore,
     document_for,
     recover_into,
+    scan_last_seq,
+    scan_records,
 )
 from repro.plugins import build_standard_environment
 from repro.runtime import LifecycleManager
@@ -180,6 +182,60 @@ class TestJournal:
         assert record.event_timestamp == event.timestamp
 
 
+# ============================================================ commit rule
+class TestCommitRule:
+    """Readers and the writer agree on which records committed: a record
+    counts once its line ends in a newline and decodes."""
+
+    def _journal_of_three(self, directory):
+        journal = Journal(directory, fsync="never")
+        for index in range(3):
+            journal.append("k", SimulatedClock().now(), "s")
+        journal.close()
+        return os.path.join(directory, journal.segment_files()[-1])
+
+    def test_unterminated_complete_record_is_not_committed(self, tmp_path):
+        directory = str(tmp_path)
+        segment = self._journal_of_three(directory)
+        record = JournalRecord(seq=4, kind="k.unacknowledged",
+                               timestamp=SimulatedClock().now().isoformat(),
+                               subject_id="s")
+        with open(segment, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(record.to_dict()))  # no trailing newline
+        # A follower must not apply what the writer will never acknowledge.
+        assert [r.seq for r in scan_records(directory)] == [1, 2, 3]
+        assert scan_last_seq(directory) == 3
+        reopened = Journal(directory, fsync="never")
+        assert reopened.last_seq == 3
+        reopened.append("k.committed", SimulatedClock().now(), "s")
+        assert [(r.seq, r.kind) for r in scan_records(directory)][-1] == \
+            (4, "k.committed")
+
+    def test_empty_final_segment_proves_the_previous_seq(self, tmp_path):
+        directory = str(tmp_path)
+        self._journal_of_three(directory)
+        # A crash between opening the next segment and writing to it.
+        open(os.path.join(directory, "journal-{:016d}.jsonl".format(4)), "w").close()
+        assert scan_last_seq(directory) == 3
+        assert Journal(directory, fsync="never").last_seq == 3
+        assert [r.seq for r in scan_records(directory)] == [1, 2, 3]
+
+    def test_corrupt_middle_line_raises_for_every_reader(self, tmp_path):
+        directory = str(tmp_path)
+        segment = self._journal_of_three(directory)
+        with open(segment, encoding="utf-8") as handle:
+            lines = handle.readlines()
+        lines[1] = "#corrupt#" + lines[1]
+        with open(segment, "w", encoding="utf-8") as handle:
+            handle.writelines(lines)
+        with pytest.raises(StorageError):
+            scan_last_seq(directory)
+        with pytest.raises(StorageError):
+            list(scan_records(directory))
+        with pytest.raises(StorageError):
+            Journal(directory, fsync="never")
+
+
 # ========================================================== long-poll waits
 class TestJournalWaitForSeq:
     """Edge cases of the long-poll primitive replication streams park on."""
@@ -317,11 +373,9 @@ class TestSnapshotStore:
 
 
 # ==================================================================== stores
-@pytest.fixture(params=["memory", "file", "sqlite"])
+@pytest.fixture(params=["file", "sqlite"])
 def instance_store(request, tmp_path):
-    if request.param == "memory":
-        yield MemoryStore()
-    elif request.param == "file":
+    if request.param == "file":
         yield FileStore(str(tmp_path / "instances"))
     else:
         store = SQLiteStore(str(tmp_path / "instances.sqlite3"))
@@ -338,41 +392,22 @@ class TestInstanceStores:
         }
 
     def test_upsert_get_all(self, instance_store):
-        instance_store.upsert(self._document("i1"))
-        instance_store.upsert(self._document("i2", owner="bob"))
+        assert instance_store.upsert_many([]) == 0
+        assert instance_store.upsert_many(
+            [self._document("i2", owner="bob"), self._document("i1")]) == 2
         assert instance_store.count() == 2
-        assert instance_store.ids() == ["i1", "i2"]
-        assert instance_store.get("i1")["owner"] == "alice"
-        assert instance_store.get("missing") is None
-        assert [d["instance_id"] for d in instance_store.all()] == ["i1", "i2"]
+        documents = instance_store.all()
+        assert [d["instance_id"] for d in documents] == ["i1", "i2"]
+        assert documents[0] == self._document("i1")
+        assert documents[1]["owner"] == "bob"
 
     def test_upsert_replaces_and_reindexes(self, instance_store):
-        instance_store.upsert(self._document("i1", phase="work"))
-        instance_store.upsert(self._document("i1", phase="review", status="active"))
+        instance_store.upsert_many([self._document("i1", phase="work")])
+        instance_store.upsert_many([self._document("i1", phase="review",
+                                                   status="completed")])
         assert instance_store.count() == 1
-        assert instance_store.get("i1")["phase_id"] == "review"
-        assert instance_store.query(phase_id="work") == []
-        assert [d["instance_id"] for d in instance_store.query(phase_id="review")] == ["i1"]
-
-    def test_indexed_queries(self, instance_store):
-        for index in range(10):
-            instance_store.upsert(self._document(
-                "i{}".format(index),
-                owner="alice" if index % 2 == 0 else "bob",
-                phase="work" if index < 7 else "review",
-                status="active" if index < 9 else "completed"))
-        assert len(instance_store.query(owner="alice")) == 5
-        assert len(instance_store.query(phase_id="review")) == 3
-        assert len(instance_store.query(owner="bob", phase_id="work")) == 3
-        assert len(instance_store.query(status="completed")) == 1
-        with pytest.raises(StorageError):
-            instance_store.query(color="red")
-
-    def test_clear(self, instance_store):
-        instance_store.upsert(self._document("i1"))
-        instance_store.clear()
-        assert instance_store.count() == 0
-        assert instance_store.query(owner="alice") == []
+        [document] = instance_store.all()
+        assert (document["phase_id"], document["status"]) == ("review", "completed")
 
     def test_document_for_shape(self):
         environment, bus, log, manager = build_runtime()
@@ -399,7 +434,7 @@ class TestInstanceStores:
 class TestCoordinator:
     def test_events_are_journaled_with_enrichment(self, tmp_path):
         environment, bus, log, manager = build_runtime()
-        config = PersistenceConfig(str(tmp_path), backend="memory", fsync="never")
+        config = PersistenceConfig(str(tmp_path), backend="file", fsync="never")
         coordinator = PersistenceCoordinator(
             manager, log, config.open_journal(), config.open_snapshots(),
             config.open_store(), bus=bus)
@@ -437,7 +472,7 @@ class TestCoordinator:
             manager.start(instance.instance_id, actor="alice")
         report = coordinator.checkpoint()
         assert report["instances_flushed"] == 8
-        assert report["durable"] is True
+        assert report["snapshot_id"] == coordinator.snapshots.latest().snapshot_id
         assert coordinator.store.count() == 8
         assert coordinator.dirty_count == 0
         assert coordinator.snapshots.latest().journal_seq == report["journal_seq"]
@@ -448,40 +483,6 @@ class TestCoordinator:
         assert status["checkpoints"] == 1
         assert status["journal_records_since_snapshot"] == 0
         coordinator.close()
-
-    def test_memory_backend_never_truncates_the_journal(self, tmp_path):
-        """A RAM store cannot back a manifest's durability promise: the full
-        journal must survive checkpoints, or a restart loses every
-        checkpointed instance."""
-        environment, bus, log, manager = build_runtime()
-        config = PersistenceConfig(str(tmp_path), backend="memory", fsync="never",
-                                   segment_max_records=5)
-        coordinator = PersistenceCoordinator(
-            manager, log, config.open_journal(), config.open_snapshots(),
-            config.open_store(), bus=bus)
-        model = bench_model()
-        manager.publish_model(model, actor="coordinator")
-        adapter = environment.adapter("Google Doc")
-        for index in range(6):
-            descriptor = adapter.create_resource("doc {}".format(index), owner="alice")
-            manager.start(manager.instantiate(model.uri, descriptor,
-                                              owner="alice").instance_id,
-                          actor="alice")
-        report = coordinator.checkpoint()
-        assert report["durable"] is False
-        assert report["snapshot_id"] is None
-        assert report["segments_truncated"] == 0
-        assert coordinator.snapshots.latest() is None
-        expected = state_fingerprint(manager, log, model.uri)
-        coordinator.close()
-
-        # A different process (empty memory store): the journal alone
-        # rebuilds everything, because nothing was ever truncated.
-        environment2, bus2, log2, manager2 = build_runtime()
-        recovery = recover_into(manager2, log2, config.open_journal(),
-                                config.open_snapshots(), MemoryStore())
-        assert recovery.instances_created_from_journal == 6
-        assert state_fingerprint(manager2, log2, model.uri) == expected
 
     def test_journal_failures_are_counted_and_repaired_by_checkpoint(self, tmp_path):
         """A failing disk must not fail kernel operations silently: the
@@ -562,7 +563,7 @@ class TestCoordinator:
 
     def test_closed_coordinator_refuses_checkpoints(self, tmp_path):
         environment, bus, log, manager = build_runtime()
-        config = PersistenceConfig(str(tmp_path), backend="memory", fsync="never")
+        config = PersistenceConfig(str(tmp_path), backend="file", fsync="never")
         coordinator = PersistenceCoordinator(
             manager, log, config.open_journal(), config.open_snapshots(),
             config.open_store(), bus=bus)
@@ -571,8 +572,9 @@ class TestCoordinator:
             coordinator.checkpoint()
 
     def test_config_rejects_unknown_backend(self, tmp_path):
-        with pytest.raises(StorageError):
-            PersistenceConfig(str(tmp_path), backend="cassandra")
+        for backend in ("cassandra", "memory"):
+            with pytest.raises(StorageError):
+                PersistenceConfig(str(tmp_path), backend=backend)
 
 
 # ================================================================== recovery
@@ -786,7 +788,7 @@ class TestModelReferences:
         coordinator.checkpoint()
         coordinator.close()
         store = config.open_store()
-        document = store.get(ids[-1])
+        [document] = [d for d in store.all() if d["instance_id"] == ids[-1]]
         store.close()
         assert document["state"]["model"]["name"] == "Owner's variant"
         assert [p["name"] for p in document["state"]["model"]["phases"]] == \
@@ -811,9 +813,10 @@ class TestModelReferences:
         expected = state_fingerprint(manager, log, model.uri)
         coordinator.close()
         store = config.open_store()
-        for document in store.all():
+        documents = store.all()
+        for document in documents:
             document["state"]["model"] = model.to_dict()
-            store.upsert(document)
+        store.upsert_many(documents)
         store.close()
 
         report, manager2, log2 = self._recover(config)
@@ -832,9 +835,9 @@ class TestModelReferences:
         coordinator.checkpoint()
         coordinator.close()
         store = config.open_store()
-        document = store.get(ids[0])
+        [document] = [d for d in store.all() if d["instance_id"] == ids[0]]
         document["state"]["model"]["version_number"] = "9.9"
-        store.upsert(document)
+        store.upsert_many([document])
         store.close()
 
         report, manager2, log2 = self._recover(config)

@@ -19,6 +19,7 @@ from repro.errors import (
     JournalTruncatedError,
     ReadOnlyReplicaError,
     ReplicationError,
+    StorageError,
 )
 from repro.model import LifecycleBuilder
 from repro.persistence import Journal, PersistenceConfig
@@ -49,9 +50,8 @@ def replication_model(name="Replicated lifecycle"):
     return builder.build()
 
 
-def build_primary(root, backend="file", clock=None):
-    config = PersistenceConfig(os.path.join(root, "primary"), backend=backend,
-                               fsync="never")
+def build_primary(root, clock=None):
+    config = PersistenceConfig(os.path.join(root, "primary"), fsync="never")
     service = GeleeService(clock=clock or SimulatedClock(),
                            persistence=config)
     ReplicationPrimary(service)
@@ -237,14 +237,26 @@ class TestReadReplica:
         assert manager.instances()[0].model is manager.model(model.uri)
 
     def test_documents_without_manifest_wait_for_the_model_record(self, root):
-        """A memory-backed primary ships documents but no manifest: their
-        model references resolve once the stream installs the version."""
+        """A primary that crashed between its store flush and its manifest
+        publish ships documents but no manifest: their model references
+        resolve once the stream installs the version."""
         clock = SimulatedClock()
-        config, primary = build_primary(root, backend="memory", clock=clock)
+        config, primary = build_primary(root, clock=clock)
         model = replication_model()
         primary.manager.publish_model(model, actor="alice")
         ids = seed_instances(primary, model, 6)
-        primary.persistence.checkpoint()
+        snapshots = primary.persistence.snapshots
+        publish = snapshots.publish
+
+        def publish_fails_once(manifest):
+            snapshots.publish = publish
+            raise StorageError("killed during manifest publish")
+
+        snapshots.publish = publish_fails_once
+        with pytest.raises(StorageError):
+            primary.persistence.checkpoint()
+        assert snapshots.latest() is None
+        assert primary.persistence.store.count() == 6
         primary.manager.advance(ids[0], actor="alice", to_phase_id="review")
         replica = ReadReplica(primary.replication, clock=clock)
         assert replica.bootstrap()["instances_restored"] == 0

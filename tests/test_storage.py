@@ -1,9 +1,13 @@
 """Tests for the data tier: repositories, execution log, template and definition stores."""
 
+import bisect
+import random
+
 import pytest
 
 from repro.actions import library
 from repro.actions.registry import ActionRegistry
+from repro.bisection import bisect_by
 from repro.clock import SimulatedClock
 from repro.errors import ConcurrencyError, StorageError, TemplateError
 from repro.events import Event, EventBus
@@ -134,7 +138,7 @@ class TestExecutionLog:
         assert [entry.sequence for entry in log.entries(limit=2)] == [4, 5]
 
     def test_capacity_bound(self):
-        log = ExecutionLog(capacity=3)
+        log = ExecutionLog(max_entries=3)
         clock = self._clock()
         for index in range(10):
             log.record("k", clock.now(), "s")
@@ -282,7 +286,7 @@ class TestSecondaryIndexes:
 class TestExecutionLogSubjectIndex:
     def test_history_is_indexed_and_capacity_evicts(self):
         clock = SimulatedClock()
-        log = ExecutionLog(capacity=4)
+        log = ExecutionLog(max_entries=4)
         for index in range(8):
             log.record("instance.phase_entered", clock.now(),
                        "inst-{}".format(index % 2))
@@ -462,3 +466,17 @@ class TestExecutionLogRetention:
         # The sequence counter continues where the original left off.
         entry = restored.record("k", clock.now(), "inst-0")
         assert entry.sequence == 21
+
+
+class TestBisectBy:
+    def test_matches_bisect_on_the_keys(self):
+        rng = random.Random(7)
+        for size in range(0, 12):
+            items = sorted(({"k": rng.randint(0, 5)} for _ in range(size)),
+                           key=lambda item: item["k"])
+            keys = [item["k"] for item in items]
+            for value in range(-1, 7):
+                assert bisect_by(items, value, lambda item: item["k"]) == \
+                    bisect.bisect_left(keys, value)
+                assert bisect_by(items, value, lambda item: item["k"], right=True) == \
+                    bisect.bisect_right(keys, value)
