@@ -111,7 +111,7 @@ def test_bench_coordination_leases_and_failover():
         #    detection-to-promotion window ------------------------------
         store = MemoryLeaseStore()
         config = PersistenceConfig(os.path.join(root, "primary"),
-                                   backend="file", fsync="never")
+                                   fsync="never")
         primary = GeleeService(persistence=config,
                                coordination=CoordinationConfig(
                                    store=store, node_id="primary-node",

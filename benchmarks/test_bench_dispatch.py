@@ -175,7 +175,7 @@ def test_bench_replica_lag_push_vs_poll():
     root = tempfile.mkdtemp(prefix="bench-dispatch-")
     try:
         config = PersistenceConfig(os.path.join(root, "primary"),
-                                   backend="file", fsync="never")
+                                   fsync="never")
         service = GeleeService(clock=SimulatedClock(),
                                persistence=config)
         primary = ReplicationPrimary(service)

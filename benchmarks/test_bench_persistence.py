@@ -8,10 +8,10 @@ quantifies what durability costs and what recovery buys:
   workload as E12, run bare and with persistence at each fsync policy
   (``never`` / ``interval`` / ``always``), reported as ops/s and the
   per-operation overhead in microseconds;
-* **checkpoint latency** — flushing 10k dirty instances into the file and
-  SQLite stores plus the atomic manifest publish;
+* **checkpoint latency** — flushing 10k dirty instances into the SQLite
+  instance store plus the atomic manifest publish;
 * **cold-recovery time** — rebuilding all 10k instances (snapshot + journal
-  tail) into a fresh manager, per backend.
+  tail) into a fresh manager.
 
 Results are printed and appended to ``BENCH_persistence.json``.  Size via
 ``BENCH_PERSISTENCE_INSTANCES`` (default 10000) so CI can smoke-run a small
@@ -97,7 +97,7 @@ def test_bench_persistence_overhead_checkpoint_recovery():
         for policy in ("never", "interval", "always"):
             environment, bus, log, manager = _build_runtime()
             config = PersistenceConfig(os.path.join(root, "fsync-" + policy),
-                                       backend="file", fsync=policy)
+                                       fsync=policy)
             coordinator = PersistenceCoordinator(
                 manager, log, config.open_journal(), config.open_snapshots(),
                 config.open_store(), bus=bus)
@@ -114,41 +114,39 @@ def test_bench_persistence_overhead_checkpoint_recovery():
             }
             coordinator.close()
 
-        # -- checkpoint latency + cold recovery per backend -----------------
-        for backend in ("file", "sqlite"):
-            environment, bus, log, manager = _build_runtime()
-            config = PersistenceConfig(os.path.join(root, "backend-" + backend),
-                                       backend=backend, fsync="interval")
-            coordinator = PersistenceCoordinator(
-                manager, log, config.open_journal(), config.open_snapshots(),
-                config.open_store(), bus=bus)
-            _run_workload(environment, manager)
-            checkpoint = coordinator.checkpoint()
-            rows.append("checkpoint {:6s}: {:7.0f} ms for {} instances".format(
-                backend, checkpoint["duration_ms"], checkpoint["instances_flushed"]))
-            data["checkpoint"][backend] = {
-                "duration_ms": checkpoint["duration_ms"],
-                "instances_flushed": checkpoint["instances_flushed"],
-            }
-            coordinator.close()
-            del environment, bus, log, manager
+        # -- checkpoint latency + cold recovery ----------------------------
+        environment, bus, log, manager = _build_runtime()
+        config = PersistenceConfig(os.path.join(root, "checkpoint"),
+                                   fsync="interval")
+        coordinator = PersistenceCoordinator(
+            manager, log, config.open_journal(), config.open_snapshots(),
+            config.open_store(), bus=bus)
+        _run_workload(environment, manager)
+        checkpoint = coordinator.checkpoint()
+        rows.append("checkpoint      : {:7.0f} ms for {} instances".format(
+            checkpoint["duration_ms"], checkpoint["instances_flushed"]))
+        data["checkpoint"] = {
+            "duration_ms": checkpoint["duration_ms"],
+            "instances_flushed": checkpoint["instances_flushed"],
+        }
+        coordinator.close()
+        del environment, bus, log, manager
 
-            environment2, bus2, log2, manager2 = _build_runtime()
-            started = time.perf_counter()
-            recovery = recover_into(manager2, log2, config.open_journal(),
-                                    config.open_snapshots(), config.open_store())
-            cold_ms = (time.perf_counter() - started) * 1000
-            assert manager2.instance_count() == INSTANCES
-            assert recovery.warnings == []
-            rows.append("recovery   {:6s}: {:7.0f} ms cold ({} instances, {} log entries)".format(
-                backend, cold_ms, recovery.instances_restored,
-                recovery.log_entries_restored))
-            data["recovery"][backend] = {
-                "duration_ms": round(cold_ms, 1),
-                "instances_restored": recovery.instances_restored,
-                "log_entries_restored": recovery.log_entries_restored,
-                "records_replayed": recovery.records_replayed,
-            }
+        environment2, bus2, log2, manager2 = _build_runtime()
+        started = time.perf_counter()
+        recovery = recover_into(manager2, log2, config.open_journal(),
+                                config.open_snapshots(), config.open_store())
+        cold_ms = (time.perf_counter() - started) * 1000
+        assert manager2.instance_count() == INSTANCES
+        assert recovery.warnings == []
+        rows.append("recovery        : {:7.0f} ms cold ({} instances, {} log entries)".format(
+            cold_ms, recovery.instances_restored, recovery.log_entries_restored))
+        data["recovery"] = {
+            "duration_ms": round(cold_ms, 1),
+            "instances_restored": recovery.instances_restored,
+            "log_entries_restored": recovery.log_entries_restored,
+            "records_replayed": recovery.records_replayed,
+        }
 
         report(
             "E14 — durable runtime: journal overhead, checkpoint and cold recovery",
@@ -158,6 +156,6 @@ def test_bench_persistence_overhead_checkpoint_recovery():
         # to be expensive), and a 10k-instance cold start finishes in seconds.
         assert data["journal"]["never"]["slowdown"] < 2.5
         assert data["journal"]["interval"]["slowdown"] < 3.0
-        assert data["recovery"]["sqlite"]["duration_ms"] < 30_000
+        assert data["recovery"]["duration_ms"] < 30_000
     finally:
         shutil.rmtree(root, ignore_errors=True)

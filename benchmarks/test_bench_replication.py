@@ -72,7 +72,7 @@ def test_bench_replication_apply_and_promotion():
     try:
         clock = SimulatedClock()
         config = PersistenceConfig(os.path.join(root, "primary"),
-                                   backend="file", fsync="never")
+                                   fsync="never")
         primary = GeleeService(clock=clock,
                                persistence=config)
         ReplicationPrimary(primary)

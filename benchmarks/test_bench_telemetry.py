@@ -7,10 +7,11 @@ instruments take a lock per update, so the question is whether the hot
 path got measurably slower.  The harness runs the same zero-latency
 ``batchAdvance`` workload three times per trial — instruments fully
 disabled, metrics registry live, registry *plus* span recording —
-interleaved so thermal/alloc drift hits all modes equally, and compares
-the best throughput of each mode against the disabled baseline.  Each
-overhead must stay under ``BENCH_TELEMETRY_MAX_OVERHEAD_PCT`` (default
-3%).
+interleaved so thermal/alloc drift hits all modes equally, and pairs
+each mode's throughput with the disabled baseline of the same trial.
+The registry's *median* paired overhead and the spans mode's best paired
+overhead must each stay under ``BENCH_TELEMETRY_MAX_OVERHEAD_PCT``
+(default 3%).
 
 Zero action latency is the adversarial setting: with no simulated
 web-service sleep, the per-op cost is pure CPU and the instrument updates
@@ -202,7 +203,8 @@ def test_bench_telemetry_overhead():
                       in zip(ops[mode], ops[reference]))
 
     def overhead_pct(mode, reference="baseline"):
-        """The *quietest* paired overhead — the gated figure.
+        """The *quietest* paired overhead — gated for spans, history and
+        the full stack.
 
         Interference from a noisy neighbour only ever slows a run down,
         so the pairing with the highest ratio is the best available
@@ -213,7 +215,8 @@ def test_bench_telemetry_overhead():
         return (1.0 - paired_ratios(mode, reference)[-1]) * 100.0
 
     def median_overhead_pct(mode, reference="baseline"):
-        """Median paired overhead — recorded for transparency, not gated."""
+        """Median paired overhead — the registry's gated figure: one lucky
+        trial cannot pass it."""
         ratios = paired_ratios(mode, reference)
         mid = len(ratios) // 2
         median = (ratios[mid] if len(ratios) % 2
@@ -221,6 +224,7 @@ def test_bench_telemetry_overhead():
         return (1.0 - median) * 100.0
 
     registry_overhead_pct = overhead_pct("registry")
+    registry_median_pct = median_overhead_pct("registry")
     spans_overhead_pct = overhead_pct("spans")
     full_overhead_pct = overhead_pct("full")
     history_extra_pct = overhead_pct("full", reference="spans")
@@ -231,8 +235,8 @@ def test_bench_telemetry_overhead():
         [
             "all disabled      : {:8.0f} ops/s (best of {})".format(
                 best_baseline, TRIALS),
-            "registry enabled  : {:8.0f} ops/s ({:+.2f}%)".format(
-                best_registry, registry_overhead_pct),
+            "registry enabled  : {:8.0f} ops/s ({:+.2f}%, median {:+.2f}%)".format(
+                best_registry, registry_overhead_pct, registry_median_pct),
             "registry + spans  : {:8.0f} ops/s ({:+.2f}%)".format(
                 best_spans, spans_overhead_pct),
             "+ history/logring : {:8.0f} ops/s ({:+.2f}%, extra {:+.2f}%)".format(
@@ -253,7 +257,7 @@ def test_bench_telemetry_overhead():
             "spans_overhead_pct": spans_overhead_pct,
             "full_overhead_pct": full_overhead_pct,
             "history_extra_pct": history_extra_pct,
-            "overhead_median_pct": median_overhead_pct("registry"),
+            "overhead_median_pct": registry_median_pct,
             "spans_overhead_median_pct": median_overhead_pct("spans"),
             "full_overhead_median_pct": median_overhead_pct("full"),
             "history_extra_median_pct": median_overhead_pct(
@@ -263,9 +267,9 @@ def test_bench_telemetry_overhead():
             "max_total_pct": MAX_TOTAL_PCT,
         },
     )
-    assert registry_overhead_pct <= MAX_OVERHEAD_PCT, (
-        "metrics instrumentation costs {:.2f}% (> {:.1f}% budget)".format(
-            registry_overhead_pct, MAX_OVERHEAD_PCT))
+    assert registry_median_pct <= MAX_OVERHEAD_PCT, (
+        "metrics instrumentation costs {:.2f}% in the median trial "
+        "(> {:.1f}% budget)".format(registry_median_pct, MAX_OVERHEAD_PCT))
     assert spans_overhead_pct <= MAX_OVERHEAD_PCT, (
         "span recording costs {:.2f}% (> {:.1f}% budget)".format(
             spans_overhead_pct, MAX_OVERHEAD_PCT))

@@ -48,10 +48,8 @@ def first_life(config: PersistenceConfig) -> list:
         client.start(instance_id)
 
     checkpoint = client.persistence_checkpoint()
-    print("Checkpoint: {} instances flushed to the {} store at journal seq {}".format(
-        checkpoint["instances_flushed"],
-        router.service.persistence.store.backend_name,
-        checkpoint["journal_seq"]))
+    print("Checkpoint: {} instances flushed to the instance store at journal seq {}".format(
+        checkpoint["instances_flushed"], checkpoint["journal_seq"]))
 
     # Work that only the journal tail knows about.
     for instance_id in instance_ids[:3]:
@@ -90,7 +88,7 @@ def second_life(config: PersistenceConfig, instance_ids: list) -> None:
 def main() -> None:
     directory = tempfile.mkdtemp(prefix="gelee-durable-")
     try:
-        config = PersistenceConfig(directory, backend="sqlite", fsync="interval")
+        config = PersistenceConfig(directory, fsync="interval")
         print("Persistence directory:", directory)
         instance_ids = first_life(config)
         print("-- process killed; every in-memory structure is gone --")

@@ -68,8 +68,7 @@ def main() -> None:
     try:
         # -- the primary: durable, replicating, and *enrolled* --------------
         lease_store = MemoryLeaseStore()
-        config = PersistenceConfig(directory, backend="sqlite",
-                                   fsync="interval")
+        config = PersistenceConfig(directory, fsync="interval")
         # Pooled completions (completion_workers) put the dispatcher's
         # work through the shared worker pool, so the scrape below also
         # carries the pool's queue-depth distribution.

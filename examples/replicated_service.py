@@ -30,7 +30,7 @@ def main() -> None:
     directory = tempfile.mkdtemp(prefix="gelee-replicated-")
     try:
         # -- the primary: durable, streaming its journal --------------------
-        config = PersistenceConfig(directory, backend="sqlite", fsync="interval")
+        config = PersistenceConfig(directory, fsync="interval")
         primary_router = RestRouter(persistence=config)
         primary = primary_router.service
         ReplicationPrimary(primary)

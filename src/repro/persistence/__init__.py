@@ -10,8 +10,7 @@ package makes the runtime durable and restartable:
 * :mod:`~repro.persistence.snapshot` — atomic point-in-time manifests of
   model / log state that bound replay length;
 * :mod:`~repro.persistence.store` — the checkpoint target for instance
-  state: :class:`FileStore` or :class:`SQLiteStore` behind one
-  :class:`InstanceStore` interface (``upsert_many`` / ``all`` / ``count``);
+  state, one :class:`SQLiteStore` (``upsert_many`` / ``all`` / ``count``);
 * :mod:`~repro.persistence.coordinator` — the bus subscriber that feeds
   the journal and materialises checkpoints;
 * :mod:`~repro.persistence.recovery` — snapshot restore plus journal-tail
@@ -20,7 +19,7 @@ package makes the runtime durable and restartable:
 Typical wiring (the service tier does this from one knob,
 ``GeleeService(..., persistence=PersistenceConfig(directory))``)::
 
-    config = PersistenceConfig("/var/lib/gelee", backend="sqlite")
+    config = PersistenceConfig("/var/lib/gelee")
     journal, snapshots, store = (config.open_journal(),
                                  config.open_snapshots(), config.open_store())
     report = recover_into(manager, log, journal, snapshots, store)
@@ -29,7 +28,7 @@ Typical wiring (the service tier does this from one knob,
     coordinator.checkpoint()   # periodically, or POST /v2/runtime/persistence:checkpoint
 """
 
-from .coordinator import BACKENDS, PersistenceConfig, PersistenceCoordinator
+from .coordinator import PersistenceConfig, PersistenceCoordinator
 from .journal import (
     FSYNC_POLICIES,
     Journal,
@@ -46,13 +45,10 @@ from .recovery import (
     restore_snapshot,
 )
 from .snapshot import SnapshotManifest, SnapshotStore, capture_manifest
-from .store import FileStore, InstanceStore, SQLiteStore, document_for
+from .store import SQLiteStore, document_for
 
 __all__ = [
-    "BACKENDS",
     "FSYNC_POLICIES",
-    "FileStore",
-    "InstanceStore",
     "Journal",
     "JournalRecord",
     "JournalReplayer",

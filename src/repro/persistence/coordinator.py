@@ -20,15 +20,16 @@ carry, so journal replay is self-contained:
 
 :meth:`PersistenceCoordinator.checkpoint` turns the journal tail into a
 snapshot: it quiesces the runtime, flushes every instance touched since the
-last checkpoint into the configured
-:class:`~repro.persistence.store.InstanceStore`, publishes the manifest
-atomically, and truncates fully-covered journal segments.  The order —
+last checkpoint into the :class:`~repro.persistence.store.SQLiteStore`,
+publishes the manifest atomically, and truncates fully-covered journal
+segments.  The order —
 instance store first, manifest second, truncation last — means a crash at
 any point leaves a recoverable combination on disk.
 """
 
 from __future__ import annotations
 
+import glob
 import os
 import threading
 import time
@@ -40,10 +41,7 @@ from ..events import Event
 from ..telemetry import get_registry
 from .journal import Journal
 from .snapshot import SnapshotStore, capture_manifest
-from .store import FileStore, InstanceStore, SQLiteStore, document_for
-
-#: Backends selectable from :class:`PersistenceConfig`.
-BACKENDS = ("file", "sqlite")
+from .store import SQLiteStore, document_for
 
 
 @dataclass
@@ -53,8 +51,11 @@ class PersistenceConfig:
     Attributes:
         directory: root directory; the journal lives in ``journal/``, the
             snapshots in ``snapshots/`` and the instance store in
-            ``instances/`` (or ``instances.sqlite3``) beneath it.
-        backend: instance-store backend — ``"file"`` or ``"sqlite"``.
+            ``instances.sqlite3`` beneath it.
+        backend: always ``"sqlite"``, the one instance store; any other
+            value raises :class:`~repro.errors.StorageError`.  Kept only
+            because the end-to-end benchmark still passes
+            ``backend="sqlite"``.
         fsync: journal fsync policy — ``"always"``, ``"interval"`` or
             ``"never"`` (see :mod:`repro.persistence.journal`).
         fsync_interval: appends between fsyncs under the interval policy.
@@ -71,7 +72,7 @@ class PersistenceConfig:
     """
 
     directory: str
-    backend: str = "file"
+    backend: str = "sqlite"
     fsync: str = "interval"
     fsync_interval: int = 64
     segment_max_records: int = 10_000
@@ -80,9 +81,9 @@ class PersistenceConfig:
     log_max_entries: Optional[int] = None
 
     def __post_init__(self):
-        if self.backend not in BACKENDS:
-            raise StorageError("unknown persistence backend {!r}; expected one of {}".format(
-                self.backend, ", ".join(BACKENDS)))
+        if self.backend != "sqlite":
+            raise StorageError("unknown persistence backend {!r}; the instance "
+                               "store is always 'sqlite'".format(self.backend))
 
     # ------------------------------------------------------------------ layout
     @property
@@ -95,9 +96,7 @@ class PersistenceConfig:
 
     @property
     def store_location(self) -> str:
-        if self.backend == "sqlite":
-            return os.path.join(self.directory, "instances.sqlite3")
-        return os.path.join(self.directory, "instances")
+        return os.path.join(self.directory, "instances.sqlite3")
 
     # ------------------------------------------------------------------ wiring
     def open_journal(self) -> Journal:
@@ -108,17 +107,29 @@ class PersistenceConfig:
     def open_snapshots(self) -> SnapshotStore:
         return SnapshotStore(self.snapshot_directory, retain=self.snapshot_retain)
 
-    def open_store(self) -> InstanceStore:
-        if self.backend == "sqlite":
-            return SQLiteStore(self.store_location)
-        return FileStore(self.store_location)
+    def open_store(self) -> SQLiteStore:
+        """Open the instance store; refuse a directory a file store wrote.
+
+        Before SQLite was the only store, checkpoints could land as one
+        ``instances/<id>.json`` per instance.  Opening SQLite over such a
+        directory would recover none of them, so it is a typed error until
+        the documents are imported (``docs/PERSISTENCE.md``).
+        """
+        legacy = os.path.join(self.directory, "instances")
+        if glob.glob(os.path.join(glob.escape(legacy), "*.json")):
+            raise StorageError(
+                "{!r} holds file-store instance documents, which the SQLite "
+                "store cannot read; import them and move the directory aside "
+                "first (see 'Importing a file store' in docs/PERSISTENCE.md)"
+                .format(legacy))
+        return SQLiteStore(self.store_location)
 
 
 class PersistenceCoordinator:
     """Feeds the journal from the bus and materialises checkpoints."""
 
     def __init__(self, manager, log, journal: Journal,
-                 snapshots: SnapshotStore, store: InstanceStore, bus=None,
+                 snapshots: SnapshotStore, store: SQLiteStore, bus=None,
                  timers=None):
         self._manager = manager
         self._log = log
@@ -174,7 +185,7 @@ class PersistenceCoordinator:
         return self._snapshots
 
     @property
-    def store(self) -> InstanceStore:
+    def store(self) -> SQLiteStore:
         return self._store
 
     @property
@@ -290,7 +301,6 @@ class PersistenceCoordinator:
                     documents.append(document_for(instance, seq))
                 instance_total = self._manager.instance_count()
                 manifest = capture_manifest(self._manager, self._log, seq,
-                                            backend=self._store.backend_name,
                                             timers=self._timers)
             # I/O phase — order is load-bearing: instance documents must be
             # durable *before* the manifest that claims to cover them, and
@@ -328,7 +338,7 @@ class PersistenceCoordinator:
         snapshot_seqs = self._snapshots.snapshot_seqs()
         return {
             "enabled": True,
-            "backend": self._store.backend_name,
+            "backend": "sqlite",
             "journal": journal_status,
             "journal_records_since_snapshot": max(
                 0, journal_status["last_seq"] - self._last_checkpoint_seq),

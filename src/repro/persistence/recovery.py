@@ -48,7 +48,7 @@ from ..resources.descriptor import ResourceDescriptor
 from ..runtime.instance import LifecycleInstance
 from .journal import Journal, JournalRecord
 from .snapshot import SnapshotStore
-from .store import InstanceStore
+from .store import SQLiteStore
 
 #: Event kinds replay applies to instance state; everything else is either
 #: design-time (handled separately), derived (``instance.completed``,
@@ -220,7 +220,7 @@ class JournalReplayer:
 
 
 def recover_into(manager, log, journal: Journal, snapshots: SnapshotStore,
-                 store: InstanceStore, timers=None) -> RecoveryReport:
+                 store: SQLiteStore, timers=None) -> RecoveryReport:
     """Rebuild ``manager`` and ``log`` from the durable state on disk.
 
     ``manager`` must be empty (fresh environment, no models or instances).

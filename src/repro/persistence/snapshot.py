@@ -9,10 +9,9 @@ two halves:
   atomically (temp file + rename) so a reader either sees a complete
   manifest or the previous one, never a half-written file;
 * the **instance payloads**: one full state document per instance, kept in
-  the configured :class:`~repro.persistence.store.InstanceStore` backend
-  (JSON files or SQLite) and flushed by the coordinator *before*
-  the manifest is published — a manifest therefore never refers to
-  instance state that is not already durable.
+  the :class:`~repro.persistence.store.SQLiteStore` and flushed by the
+  coordinator *before* the manifest is published — a manifest therefore
+  never refers to instance state that is not already durable.
 
 Recovery (:mod:`repro.persistence.recovery`) loads the newest manifest,
 restores models, log and instances, and replays the journal tail with
@@ -51,7 +50,6 @@ class SnapshotManifest:
     #: manifests lack the key — recovery treats that as "no pending timers".
     scheduler: Dict[str, Any] = field(default_factory=dict)
     instance_count: int = 0
-    backend: str = "file"
     snapshot_id: str = field(default_factory=lambda: new_id("snap"))
 
     def to_dict(self) -> Dict[str, Any]:
@@ -63,11 +61,11 @@ class SnapshotManifest:
             "log": self.log,
             "scheduler": self.scheduler,
             "instance_count": self.instance_count,
-            "backend": self.backend,
         }
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "SnapshotManifest":
+        # Older manifests also carry a ``backend`` label; nothing reads it.
         return cls(
             journal_seq=int(data["journal_seq"]),
             taken_at=data.get("taken_at", ""),
@@ -75,13 +73,12 @@ class SnapshotManifest:
             log=dict(data.get("log") or {}),
             scheduler=dict(data.get("scheduler") or {}),
             instance_count=int(data.get("instance_count", 0)),
-            backend=data.get("backend", "file"),
             snapshot_id=data.get("snapshot_id") or new_id("snap"),
         )
 
 
 def capture_manifest(manager, log, journal_seq: int,
-                     backend: str = "file", timers=None) -> SnapshotManifest:
+                     timers=None) -> SnapshotManifest:
     """Build a manifest from a (quiesced) manager and execution log.
 
     The caller is responsible for holding the runtime still (see
@@ -103,7 +100,6 @@ def capture_manifest(manager, log, journal_seq: int,
         log=log.dump_state(),
         scheduler=timers.dump_state() if timers is not None else {},
         instance_count=manager.instance_count(),
-        backend=backend,
     )
 
 

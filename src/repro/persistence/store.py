@@ -1,16 +1,11 @@
-"""Instance stores: where checkpointed instance state lives.
+"""The instance store: where checkpointed instance state lives.
 
-An :class:`InstanceStore` is a checkpoint target, not a query engine: the
+:class:`SQLiteStore` is a checkpoint target, not a query engine: the
 coordinator writes a batch of documents per checkpoint (``upsert_many``),
-and recovery and replication bootstrap read them all back (``all``).  Two
-durable backends:
-
-* :class:`FileStore` — one JSON document per instance, built on the data
-  tier's :class:`~repro.storage.repository.FileRepository` (atomic writes),
-  so the persistence layer and the generic document tier share one on-disk
-  idiom.
-* :class:`SQLiteStore` — a ``sqlite3`` (stdlib) database in WAL mode, one
-  row per instance.
+and recovery and replication bootstrap read them all back (``all``).  It is
+a ``sqlite3`` (stdlib) database in WAL mode, one row per instance;
+:class:`~repro.persistence.PersistenceConfig` places it at
+``<directory>/instances.sqlite3``.
 
 Documents are flat dicts shaped by :func:`document_for`: the instance's
 model / owner / resource / phase / status, the journal sequence number the
@@ -29,7 +24,6 @@ import threading
 from typing import Any, Dict, Iterable, List
 
 from ..errors import StorageError
-from ..storage.repository import FileRepository
 
 
 def document_for(instance, journal_seq: int) -> Dict[str, Any]:
@@ -46,68 +40,14 @@ def document_for(instance, journal_seq: int) -> Dict[str, Any]:
     }
 
 
-class InstanceStore:
-    """Interface of the instance-state backends.
+class SQLiteStore:
+    """SQLite-backed store: WAL mode, one row per instance.
 
     ``upsert_many`` is last-writer-wins by ``instance_id`` and returns how
     many documents it wrote; ``all`` answers every document, ordered by
-    ``instance_id``.  Both backends are durable: the coordinator truncates
-    the journal on the strength of what ``upsert_many`` wrote.
+    ``instance_id``.  Writes are durable when ``upsert_many`` returns: the
+    coordinator truncates the journal on the strength of what it wrote.
     """
-
-    backend_name = "abstract"
-
-    def upsert_many(self, documents: Iterable[Dict[str, Any]]) -> int:
-        raise NotImplementedError
-
-    def all(self) -> List[Dict[str, Any]]:
-        raise NotImplementedError
-
-    def count(self) -> int:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release any underlying handles; the store may not be used after."""
-
-
-class FileStore(InstanceStore):
-    """One JSON file per instance via the data tier's FileRepository.
-
-    Writes are power-safe (``fsync=True`` on the repository, plus one
-    directory sync per batch): the coordinator truncates journal segments
-    on the strength of these documents, so they must actually be on disk —
-    not merely in the page cache — before the manifest claims them.
-    """
-
-    backend_name = "file"
-
-    def __init__(self, directory: str):
-        self._repository = FileRepository(directory, name="instances", fsync=True)
-
-    @property
-    def directory(self) -> str:
-        return self._repository.directory
-
-    def upsert_many(self, documents: Iterable[Dict[str, Any]]) -> int:
-        count = 0
-        for document in documents:
-            self._repository.put(document["instance_id"], document)
-            count += 1
-        if count:
-            self._repository.sync_directory()
-        return count
-
-    def all(self) -> List[Dict[str, Any]]:
-        return [record.document for record in self._repository.all()]
-
-    def count(self) -> int:
-        return self._repository.count()
-
-
-class SQLiteStore(InstanceStore):
-    """SQLite-backed store: WAL mode, one row per instance."""
-
-    backend_name = "sqlite"
 
     _SCHEMA = """
         CREATE TABLE IF NOT EXISTS instances (

@@ -22,7 +22,7 @@ process — and multiplies read throughput on the way:
 Typical wiring (see ``docs/REPLICATION.md`` and
 ``examples/replicated_service.py``)::
 
-    config = PersistenceConfig("/var/lib/gelee", backend="sqlite")
+    config = PersistenceConfig("/var/lib/gelee")
     primary = GeleeService(persistence=config)
     ReplicationPrimary(primary)                      # streaming endpoint
 

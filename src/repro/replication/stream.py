@@ -250,5 +250,4 @@ class JournalShippingSource(ReplicationSource):
         return {
             "type": "journal-shipping",
             "directory": os.path.abspath(self._config.directory),
-            "backend": self._config.backend,
         }

@@ -288,9 +288,9 @@ class GeleeService:
         coordinator subscribes, so recovered state is never journaled a
         second time.
         """
+        store = config.open_store()  # first: it refuses a file-store directory
         journal = config.open_journal()
         snapshots = config.open_snapshots()
-        store = config.open_store()
         if config.recover_on_start:
             started = time.perf_counter()
             self.recovery_report = recover_into(

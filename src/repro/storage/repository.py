@@ -64,8 +64,8 @@ def fsync_directory(directory: str) -> None:
 
     File-data fsync alone does not make a *new* file durable: the directory
     entry lives in the directory, which has its own write-back.  Every
-    durability-critical writer (file repository, WAL journal, snapshot
-    store) shares this helper.
+    durability-critical writer (WAL journal, snapshot store) shares this
+    helper.
     """
     try:
         descriptor = os.open(directory, os.O_RDONLY)
@@ -255,24 +255,15 @@ class FileRepository(InMemoryRepository):
     directory and is loaded eagerly at construction time.
     """
 
-    def __init__(self, directory: str, name: str = None, fsync: bool = False):
-        """``fsync=True`` makes every write power-safe: the record file is
-        fsynced before the rename commits it (callers that batch many writes
-        should also call :meth:`sync_directory` once afterwards so the
-        renames themselves survive power loss)."""
+    def __init__(self, directory: str, name: str = None):
         super().__init__(name=name or os.path.basename(directory) or "repository")
         self._directory = directory
-        self._fsync = fsync
         os.makedirs(directory, exist_ok=True)
         self._load_existing()
 
     @property
     def directory(self) -> str:
         return self._directory
-
-    def sync_directory(self) -> None:
-        """fsync the directory so completed renames survive power loss."""
-        fsync_directory(self._directory)
 
     # ----------------------------------------------------------------- extension
     def _write(self, record: StoredRecord) -> None:
@@ -281,8 +272,7 @@ class FileRepository(InMemoryRepository):
         # of silently diverging from it (write-then-commit).
         payload = json.dumps(record.to_dict(), indent=2, sort_keys=True, default=str)
         try:
-            atomic_write_text(self._path(record.record_id), payload,
-                              fsync=self._fsync)
+            atomic_write_text(self._path(record.record_id), payload)
         except StorageError as exc:
             raise StorageError("could not persist record {!r}: {}".format(
                 record.record_id, exc))

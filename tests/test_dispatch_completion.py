@@ -263,7 +263,7 @@ class TestKillDuringInFlightRecovery:
             environment, clock=clock, bus=bus,
             completion_workers=4)
         action = BlockingAction().install(environment)
-        config = PersistenceConfig(str(tmp_path), backend="file", fsync="never")
+        config = PersistenceConfig(str(tmp_path), fsync="never")
         coordinator = PersistenceCoordinator(
             manager, log, config.open_journal(), config.open_snapshots(),
             config.open_store(), bus=bus)
@@ -312,7 +312,7 @@ class TestKillDuringInFlightRecovery:
         log = ExecutionLog(bus=bus)
         manager = LifecycleManager(
             environment, clock=clock, bus=bus)
-        config = PersistenceConfig(str(tmp_path), backend="file", fsync="never")
+        config = PersistenceConfig(str(tmp_path), fsync="never")
         coordinator = PersistenceCoordinator(
             manager, log, config.open_journal(), config.open_snapshots(),
             config.open_store(), bus=bus)
@@ -389,7 +389,7 @@ class TestServiceDispatch:
 # ============================================================ journal push
 class TestJournalPush:
     def test_wait_for_seq_wakes_on_append_not_on_a_poll_interval(self, tmp_path):
-        config = PersistenceConfig(str(tmp_path), backend="file", fsync="never")
+        config = PersistenceConfig(str(tmp_path), fsync="never")
         service = GeleeService(clock=SimulatedClock(),
                                persistence=config)
         primary = ReplicationPrimary(service)
@@ -419,7 +419,7 @@ class TestJournalPush:
         service.close()
 
     def test_stream_follower_applies_writes_within_the_push_window(self, tmp_path):
-        config = PersistenceConfig(str(tmp_path), backend="file", fsync="never")
+        config = PersistenceConfig(str(tmp_path), fsync="never")
         service = GeleeService(clock=SimulatedClock(),
                                persistence=config)
         primary = ReplicationPrimary(service)
@@ -449,7 +449,7 @@ class TestJournalPush:
             service.close()
 
     def test_promote_fails_invocations_the_primary_left_in_flight(self, tmp_path):
-        config = PersistenceConfig(str(tmp_path), backend="file", fsync="never")
+        config = PersistenceConfig(str(tmp_path), fsync="never")
         clock = SimulatedClock()
         environment = build_standard_environment(clock=clock)
         service = GeleeService(environment=environment, clock=clock, persistence=config,

@@ -1,10 +1,11 @@
-"""Tests for :mod:`repro.persistence`: journal, snapshots, stores, recovery.
+"""Tests for :mod:`repro.persistence`: journal, snapshots, the instance
+store, recovery.
 
 The centrepiece is the kill-and-restart round trip required by the durable
-runtime: create >= 1k instances with persistence enabled,
-drop every in-memory structure, recover from snapshot + journal (file and
-SQLite backends) and verify that phases, statuses, secondary-index query
-results and the execution-log contents are identical to the pre-crash state.
+runtime: create >= 1k instances with persistence enabled, drop every
+in-memory structure, recover from snapshot + journal and verify that
+phases, statuses, visit histories, the kernel's owner/phase/model listings
+and the execution-log contents are identical to the pre-crash state.
 """
 
 import json
@@ -19,7 +20,6 @@ from repro.errors import ConcurrencyError, ServiceError, StorageError
 from repro.events import Event, EventBus
 from repro.model import LifecycleBuilder
 from repro.persistence import (
-    FileStore,
     Journal,
     JournalRecord,
     PersistenceConfig,
@@ -36,7 +36,8 @@ from repro.plugins import build_standard_environment
 from repro.runtime import LifecycleManager
 from repro.service.api import GeleeService
 from repro.service.rest import RestRouter
-from repro.storage import ExecutionLog
+from repro.replication import JournalShippingSource
+from repro.storage import ExecutionLog, FileRepository
 
 
 def bench_model(name="Persistence lifecycle"):
@@ -361,6 +362,12 @@ class TestSnapshotStore:
     def test_empty_store(self, tmp_path):
         assert SnapshotStore(str(tmp_path)).latest() is None
 
+    def test_manifest_with_the_old_backend_label_loads(self):
+        data = SnapshotManifest(journal_seq=7, taken_at="t").to_dict()
+        assert "backend" not in data
+        data["backend"] = "file"
+        assert SnapshotManifest.from_dict(data).journal_seq == 7
+
     def test_corrupt_latest_falls_back(self, tmp_path):
         store = SnapshotStore(str(tmp_path), retain=5)
         store.publish(SnapshotManifest(journal_seq=1, taken_at="t"))
@@ -373,14 +380,11 @@ class TestSnapshotStore:
 
 
 # ==================================================================== stores
-@pytest.fixture(params=["file", "sqlite"])
-def instance_store(request, tmp_path):
-    if request.param == "file":
-        yield FileStore(str(tmp_path / "instances"))
-    else:
-        store = SQLiteStore(str(tmp_path / "instances.sqlite3"))
-        yield store
-        store.close()
+@pytest.fixture
+def instance_store(tmp_path):
+    store = SQLiteStore(str(tmp_path / "instances.sqlite3"))
+    yield store
+    store.close()
 
 
 class TestInstanceStores:
@@ -434,7 +438,7 @@ class TestInstanceStores:
 class TestCoordinator:
     def test_events_are_journaled_with_enrichment(self, tmp_path):
         environment, bus, log, manager = build_runtime()
-        config = PersistenceConfig(str(tmp_path), backend="file", fsync="never")
+        config = PersistenceConfig(str(tmp_path), fsync="never")
         coordinator = PersistenceCoordinator(
             manager, log, config.open_journal(), config.open_snapshots(),
             config.open_store(), bus=bus)
@@ -458,7 +462,7 @@ class TestCoordinator:
 
     def test_checkpoint_flushes_and_truncates(self, tmp_path):
         environment, bus, log, manager = build_runtime()
-        config = PersistenceConfig(str(tmp_path), backend="file", fsync="never",
+        config = PersistenceConfig(str(tmp_path), fsync="never",
                                    segment_max_records=10)
         coordinator = PersistenceCoordinator(
             manager, log, config.open_journal(), config.open_snapshots(),
@@ -490,7 +494,7 @@ class TestCoordinator:
         a checkpoint — which flushes the (still dirty-marked) instances and
         the in-memory log — repairs the durability gap."""
         environment, bus, log, manager = build_runtime()
-        config = PersistenceConfig(str(tmp_path), backend="file", fsync="never")
+        config = PersistenceConfig(str(tmp_path), fsync="never")
         coordinator = PersistenceCoordinator(
             manager, log, config.open_journal(), config.open_snapshots(),
             config.open_store(), bus=bus)
@@ -536,7 +540,7 @@ class TestCoordinator:
         re-merged: otherwise a later successful checkpoint would truncate
         the journal past mutations whose documents were never persisted."""
         environment, bus, log, manager = build_runtime()
-        config = PersistenceConfig(str(tmp_path), backend="file", fsync="never")
+        config = PersistenceConfig(str(tmp_path), fsync="never")
         coordinator = PersistenceCoordinator(
             manager, log, config.open_journal(), config.open_snapshots(),
             config.open_store(), bus=bus)
@@ -563,7 +567,7 @@ class TestCoordinator:
 
     def test_closed_coordinator_refuses_checkpoints(self, tmp_path):
         environment, bus, log, manager = build_runtime()
-        config = PersistenceConfig(str(tmp_path), backend="file", fsync="never")
+        config = PersistenceConfig(str(tmp_path), fsync="never")
         coordinator = PersistenceCoordinator(
             manager, log, config.open_journal(), config.open_snapshots(),
             config.open_store(), bus=bus)
@@ -572,7 +576,7 @@ class TestCoordinator:
             coordinator.checkpoint()
 
     def test_config_rejects_unknown_backend(self, tmp_path):
-        for backend in ("cassandra", "memory"):
+        for backend in ("file", "cassandra", "memory"):
             with pytest.raises(StorageError):
                 PersistenceConfig(str(tmp_path), backend=backend)
 
@@ -621,11 +625,10 @@ def state_fingerprint(manager, log, model_uri):
     }
 
 
-@pytest.mark.parametrize("backend", ["file", "sqlite"])
 class TestKillAndRestart:
-    def test_recovery_rebuilds_identical_state(self, tmp_path, backend):
+    def test_recovery_rebuilds_identical_state(self, tmp_path):
         environment, bus, log, manager = build_runtime()
-        config = PersistenceConfig(str(tmp_path), backend=backend, fsync="never")
+        config = PersistenceConfig(str(tmp_path), fsync="never")
         coordinator = PersistenceCoordinator(
             manager, log, config.open_journal(), config.open_snapshots(),
             config.open_store(), bus=bus)
@@ -651,9 +654,9 @@ class TestKillAndRestart:
         assert report.warnings == []
         assert state_fingerprint(manager2, log2, model.uri) == expected
 
-    def test_recovery_without_snapshot_replays_everything(self, tmp_path, backend):
+    def test_recovery_without_snapshot_replays_everything(self, tmp_path):
         environment, bus, log, manager = build_runtime()
-        config = PersistenceConfig(str(tmp_path), backend=backend, fsync="never")
+        config = PersistenceConfig(str(tmp_path), fsync="never")
         coordinator = PersistenceCoordinator(
             manager, log, config.open_journal(), config.open_snapshots(),
             config.open_store(), bus=bus)
@@ -673,9 +676,9 @@ class TestKillAndRestart:
         assert {id(i.model) for i in manager2.instances()} == \
             {id(manager2.model(model.uri))}
 
-    def test_recover_then_continue_then_recover_again(self, tmp_path, backend):
+    def test_recover_then_continue_then_recover_again(self, tmp_path):
         """The full restart loop: recovered deployments keep journaling."""
-        config = PersistenceConfig(str(tmp_path), backend=backend, fsync="never")
+        config = PersistenceConfig(str(tmp_path), fsync="never")
         environment, bus, log, manager = build_runtime()
         coordinator = PersistenceCoordinator(
             manager, log, config.open_journal(), config.open_snapshots(),
@@ -717,10 +720,9 @@ class TestKillAndRestart:
 class TestKillAndRestartAtScale:
     """The acceptance-criteria round trip: >= 1k instances."""
 
-    @pytest.mark.parametrize("backend", ["file", "sqlite"])
-    def test_thousand_instances_round_trip(self, tmp_path, backend):
+    def test_thousand_instances_round_trip(self, tmp_path):
         environment, bus, log, manager = build_runtime()
-        config = PersistenceConfig(str(tmp_path), backend=backend, fsync="never")
+        config = PersistenceConfig(str(tmp_path), fsync="never")
         coordinator = PersistenceCoordinator(
             manager, log, config.open_journal(), config.open_snapshots(),
             config.open_store(), bus=bus)
@@ -756,13 +758,90 @@ class TestKillAndRestartAtScale:
         assert manager2.model(model.uri).frozen
 
 
+class TestOneInstanceStore:
+    """SQLite is the only instance store: every way of naming a directory
+    opens the same store, and a directory a file store wrote is refused
+    rather than recovered empty."""
+
+    def _checkpointed_primary(self, tmp_path, count=20):
+        """``count`` started instances, one checkpoint over small segments
+        (so the journal no longer holds them), then a post-checkpoint tail."""
+        environment, bus, log, manager = build_runtime()
+        config = PersistenceConfig(str(tmp_path), backend="sqlite",
+                                   fsync="never", segment_max_records=5)
+        coordinator = PersistenceCoordinator(
+            manager, log, config.open_journal(), config.open_snapshots(),
+            config.open_store(), bus=bus)
+        model = bench_model()
+        manager.publish_model(model, actor="coordinator")
+        ids = drive_workload(environment, manager, model, count=count)
+        assert coordinator.checkpoint()["segments_truncated"] >= 1
+        manager.advance(ids[-1], actor="alice", to_phase_id="review")
+        expected = state_fingerprint(manager, log, model.uri)
+        coordinator.close()
+        return model, ids, expected
+
+    def test_default_config_reopens_a_sqlite_checkpoint(self, tmp_path):
+        model, ids, expected = self._checkpointed_primary(tmp_path)
+        environment, bus, log, manager = build_runtime()
+        config = PersistenceConfig(str(tmp_path))
+        report = recover_into(manager, log, config.open_journal(),
+                              config.open_snapshots(), config.open_store())
+        assert report.warnings == []
+        assert report.instances_restored == len(ids)
+        assert state_fingerprint(manager, log, model.uri) == expected
+
+    def test_shipping_source_from_a_path_bootstraps_every_document(self, tmp_path):
+        model, ids, expected = self._checkpointed_primary(tmp_path)
+        payload = JournalShippingSource(str(tmp_path)).bootstrap()
+        assert sorted(d["instance_id"] for d in payload.documents) == sorted(ids)
+        assert payload.manifest is not None
+
+    def test_file_store_directory_is_refused_until_imported(self, tmp_path):
+        model, ids, expected = self._checkpointed_primary(tmp_path)
+        config = PersistenceConfig(str(tmp_path))
+        # Rebuild the directory as a file store left it: the same documents
+        # as one instances/<id>.json record each, and no SQLite database.
+        store = config.open_store()
+        documents = store.all()
+        store.close()
+        for name in os.listdir(str(tmp_path)):
+            if name.startswith("instances.sqlite3"):
+                os.unlink(os.path.join(str(tmp_path), name))
+        legacy = os.path.join(str(tmp_path), "instances")
+        repository = FileRepository(legacy)
+        for document in documents:
+            repository.put(document["instance_id"], document)
+
+        with pytest.raises(StorageError, match="instances"):
+            config.open_store()
+        with pytest.raises(StorageError):
+            GeleeService(persistence=config)
+        with pytest.raises(StorageError):
+            JournalShippingSource(str(tmp_path)).bootstrap()
+        assert not os.path.exists(config.store_location)
+
+        # The one-off import documented in docs/PERSISTENCE.md.
+        imported = SQLiteStore(config.store_location)
+        imported.upsert_many(r.document for r in FileRepository(legacy).all())
+        imported.close()
+        os.rename(legacy, legacy + ".imported")
+
+        environment, bus, log, manager = build_runtime()
+        report = recover_into(manager, log, config.open_journal(),
+                              config.open_snapshots(), config.open_store())
+        assert report.warnings == []
+        assert report.instances_restored == len(ids)
+        assert state_fingerprint(manager, log, model.uri) == expected
+
+
 class TestModelReferences:
     """Instance documents refer to published versions and inline only
     models an instance diverged to."""
 
     def _durable_runtime(self, tmp_path, count=12):
         environment, bus, log, manager = build_runtime()
-        config = PersistenceConfig(str(tmp_path), backend="file", fsync="never")
+        config = PersistenceConfig(str(tmp_path), fsync="never")
         coordinator = PersistenceCoordinator(
             manager, log, config.open_journal(), config.open_snapshots(),
             config.open_store(), bus=bus)
@@ -932,7 +1011,7 @@ class TestServicePersistence:
                        persistence=PersistenceConfig(str(tmp_path)))
 
     def test_log_retention_knob_bounds_snapshot_manifests(self, tmp_path):
-        config = PersistenceConfig(str(tmp_path), backend="file", fsync="never",
+        config = PersistenceConfig(str(tmp_path), fsync="never",
                                    log_max_entries=10)
         service = GeleeService(persistence=config)
         assert service.execution_log.max_entries == 10
@@ -950,7 +1029,7 @@ class TestServicePersistence:
 
     def test_single_manager_service_is_also_durable(self, tmp_path):
         """The persistence knob works on the service's own kernel."""
-        config = PersistenceConfig(str(tmp_path), backend="file", fsync="never")
+        config = PersistenceConfig(str(tmp_path), fsync="never")
         service = GeleeService(persistence=config)
         assert isinstance(service.manager, LifecycleManager)
         model = service.publish_template("eu-deliverable", actor="alice")
@@ -970,7 +1049,7 @@ class TestServicePersistence:
         """Write-ahead: on an injected kernel every call's records are in
         the journal when the call returns, with no flush step anywhere."""
         environment, bus, _log, manager = build_runtime()
-        config = PersistenceConfig(str(tmp_path), backend="file", fsync="never")
+        config = PersistenceConfig(str(tmp_path), fsync="never")
         service = GeleeService(manager=manager, persistence=config)
         journal = service.persistence.journal
 
@@ -1003,7 +1082,7 @@ class TestCheckpointBarrier:
     def _service_with_parked_writer(self, tmp_path):
         """A durable service whose first instance's advance is parked, by a
         bus subscriber, inside the kernel; returns the writer's release."""
-        config = PersistenceConfig(str(tmp_path), backend="file", fsync="never")
+        config = PersistenceConfig(str(tmp_path), fsync="never")
         service = GeleeService(persistence=config)
         model = bench_model()
         service.manager.publish_model(model, actor="alice")
@@ -1129,7 +1208,7 @@ class TestCrashInteractions:
         combine the (manifest-less) documents with full journal replay and
         lose nothing."""
         environment, bus, log, manager = build_runtime()
-        config = PersistenceConfig(str(tmp_path), backend="file", fsync="never")
+        config = PersistenceConfig(str(tmp_path), fsync="never")
         coordinator = PersistenceCoordinator(
             manager, log, config.open_journal(), config.open_snapshots(),
             config.open_store(), bus=bus)
@@ -1166,7 +1245,7 @@ class TestCrashInteractions:
         flushed (mid ``upsert_many``): per-document journal_seq coverage
         must keep replay idempotent over the half-flushed store."""
         environment, bus, log, manager = build_runtime()
-        config = PersistenceConfig(str(tmp_path), backend="file", fsync="never")
+        config = PersistenceConfig(str(tmp_path), fsync="never")
         store = config.open_store()
         coordinator = PersistenceCoordinator(
             manager, log, config.open_journal(), config.open_snapshots(),

@@ -833,9 +833,8 @@ class TestTimerDurability:
             ids.append(created["instance_id"])
         return model, ids
 
-    @pytest.mark.parametrize("backend", ["file", "sqlite"])
-    def test_pending_timers_survive_kill_and_restart(self, tmp_path, backend):
-        config = PersistenceConfig(str(tmp_path), backend=backend)
+    def test_pending_timers_survive_kill_and_restart(self, tmp_path):
+        config = PersistenceConfig(str(tmp_path))
         clock = SimulatedClock()
         service = GeleeService(clock=clock, persistence=config)
         model, ids = self._populate(service, clock)
@@ -915,7 +914,7 @@ class TestTimerDurability:
         revived.close()
 
     def test_cancelled_timers_stay_cancelled_after_restart(self, tmp_path):
-        config = PersistenceConfig(str(tmp_path), backend="file")
+        config = PersistenceConfig(str(tmp_path))
         clock = SimulatedClock()
         service = GeleeService(clock=clock, persistence=config)
         service.schedule_timer("keep", delay_seconds=3600)
@@ -931,7 +930,7 @@ class TestTimerDurability:
     def test_orphaned_maintenance_timers_are_pruned_on_restart(self, tmp_path):
         """Restarting without a job's config must not leave its recovered
         timer firing into the void forever."""
-        config = PersistenceConfig(str(tmp_path), backend="file")
+        config = PersistenceConfig(str(tmp_path))
         clock = SimulatedClock()
         service = GeleeService(clock=clock, persistence=config,
                                scheduler=SchedulerConfig(
@@ -946,7 +945,7 @@ class TestTimerDurability:
         revived.close()
 
     def test_changed_maintenance_interval_wins_over_restored_timer(self, tmp_path):
-        config = PersistenceConfig(str(tmp_path), backend="file")
+        config = PersistenceConfig(str(tmp_path))
         clock = SimulatedClock()
         service = GeleeService(clock=clock, persistence=config,
                                scheduler=SchedulerConfig(
@@ -961,7 +960,7 @@ class TestTimerDurability:
         revived.close()
 
     def test_maintenance_schedule_survives_restart_without_reset(self, tmp_path):
-        config = PersistenceConfig(str(tmp_path), backend="file")
+        config = PersistenceConfig(str(tmp_path))
         clock = SimulatedClock()
         scheduler_config = SchedulerConfig(checkpoint_interval_seconds=3600)
         service = GeleeService(clock=clock, persistence=config,
