@@ -2,9 +2,9 @@
 
 Parameter sweeps over the dimensions a hosted deployment cares about:
 number of instances, phases per lifecycle, actions per phase, and the cost of
-monitoring queries and execution-log growth.  Also ablates two design
-choices called out in DESIGN.md: file-backed vs. in-memory repositories and
-sequential vs. (shuffled) independent action dispatch.
+monitoring queries and execution-log growth.  Also times a template save
+into the in-memory template store and ablates sequential vs. (shuffled)
+independent action dispatch.
 """
 
 import random
@@ -17,7 +17,7 @@ from repro.model import LifecycleBuilder
 from repro.monitoring import MonitoringCockpit
 from repro.plugins import build_standard_environment
 from repro.runtime import LifecycleManager
-from repro.storage import ExecutionLog, FileRepository, InMemoryRepository, TemplateStore
+from repro.storage import ExecutionLog, TemplateStore
 from repro.templates import eu_deliverable_lifecycle
 
 from .conftest import make_deliverable, report
@@ -116,18 +116,7 @@ def test_bench_execution_log_query_growth(benchmark):
 
 
 def test_bench_repository_ablation_inmemory(benchmark):
-    store = TemplateStore(InMemoryRepository("templates"))
-    model = eu_deliverable_lifecycle()
-    counter = iter(range(100000))
-
-    def save():
-        return store.save(model, template_id="t{}".format(next(counter)))
-
-    assert benchmark(save)
-
-
-def test_bench_repository_ablation_filebacked(benchmark, tmp_path):
-    store = TemplateStore(FileRepository(str(tmp_path / "templates")))
+    store = TemplateStore()
     model = eu_deliverable_lifecycle()
     counter = iter(range(100000))
 

@@ -43,7 +43,7 @@ from .resources import Credentials, ResourceDescriptor, ResourceManager
 from .plugins import StandardEnvironment, build_standard_environment
 from .runtime import InstanceStatus, LifecycleInstance, LifecycleManager
 from .accesscontrol import AccessPolicy, Role, User, UserDirectory
-from .storage import ExecutionLog, FileRepository, InMemoryRepository, TemplateStore
+from .storage import ExecutionLog, TemplateStore
 from .monitoring import MonitoringCockpit, collect_alerts
 from .widgets import DesignerSession, LifecycleWidget
 from .scheduler import (LifecycleScheduler, SchedulerConfig, SchedulerDaemon,
@@ -89,8 +89,6 @@ __all__ = [
     "User",
     "UserDirectory",
     "ExecutionLog",
-    "FileRepository",
-    "InMemoryRepository",
     "TemplateStore",
     "MonitoringCockpit",
     "collect_alerts",

@@ -221,9 +221,7 @@ class Coordinator:
             persistence = self._service.persistence
             if persistence is not None:
                 persistence.journal.set_fence(self._guard)
-            if hasattr(self._service.manager, "set_write_guard"):
-                self._service.manager.set_write_guard(
-                    lambda operation: check())
+            self._service.manager.set_write_guard(lambda operation: check())
         if self._demoted:
             # Re-elected after a demotion: the new epoch makes this node
             # writable again (its journal fence now carries the new token).

@@ -152,8 +152,7 @@ class FailoverSupervisor:
                 holder_id=self.elector.node_id,
                 revalidate_seconds=self._fence_revalidate)
             check = self._guard.check
-            if hasattr(service.manager, "set_write_guard"):
-                service.manager.set_write_guard(lambda operation: check())
+            service.manager.set_write_guard(lambda operation: check())
         # The promoted service now answers /v2/runtime/coordination itself.
         service.coordination = self
         self._failovers += 1

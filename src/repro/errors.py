@@ -97,10 +97,6 @@ class StorageError(GeleeError):
     """A repository failed to store or retrieve an entity."""
 
 
-class ConcurrencyError(StorageError):
-    """An optimistic-concurrency check failed (stale version written)."""
-
-
 class JournalTruncatedError(StorageError):
     """A journal read hit a gap: the requested records were rotated out and
     truncated away (snapshotted segments are deleted by

@@ -382,16 +382,10 @@ class LifecycleScheduler:
 
         Retries and escalations do not need the synchronous outcome — they
         are driven entirely by the ``action.completed`` / ``action.failed``
-        events the completion publishes — so prefer the submit-only path
-        when the manager has one: a slow web service then costs the tick
-        nothing.  Managers without the async surface (test doubles) fall
-        back to the blocking call.
+        events the completion publishes — so they take the submit-only
+        path: a slow web service then costs the tick nothing.
         """
-        submit = getattr(self._manager, "invoke_action_async", None)
-        if submit is not None:
-            submit(instance_id, actor, call_id)
-        else:
-            self._manager.invoke_action(instance_id, actor, call_id)
+        self._manager.invoke_action_async(instance_id, actor, call_id)
 
     def _on_maintenance_timer(self, timer: Timer, now: datetime) -> None:
         name = timer.subject_id

@@ -26,6 +26,7 @@ from ..errors import (
     TimerNotFoundError,
     TraceNotFoundError,
 )
+from ..model.lifecycle import LifecycleModel
 from ..monitoring.alerts import collect_alerts
 from ..monitoring.cockpit import MonitoringCockpit
 from ..persistence import PersistenceConfig, PersistenceCoordinator, recover_into
@@ -36,7 +37,6 @@ from ..runtime.manager import LifecycleManager
 from ..scheduler import LifecycleScheduler, SchedulerConfig, TimerService
 from ..serialization.json_codec import lifecycle_from_dict
 from ..serialization.lifecycle_xml import lifecycle_from_xml, lifecycle_to_xml
-from ..storage.definitions import DefinitionStore
 from ..storage.logstore import ExecutionLog
 from ..storage.templates import TemplateStore
 from ..telemetry import SloEngine, SloRule, get_registry, get_span_store
@@ -205,7 +205,6 @@ class GeleeService:
             max_entries=persistence.log_max_entries if persistence else None)
         self.operations = OperationStore(clock=clock or self.environment.clock)
         self.templates = TemplateStore()
-        self.definitions = DefinitionStore()
         if with_builtin_templates:
             for template_id, model in builtin_templates().items():
                 self.templates.save(model, template_id=template_id)
@@ -385,16 +384,16 @@ class GeleeService:
 
     # ----------------------------------------------------------------- models
     def list_models(self) -> List[Dict[str, Any]]:
-        return [
-            {
-                "uri": model.uri,
-                "name": model.name,
-                "version": model.version.version_number,
-                "phases": len(model),
-                "resource_types": self.manager.applicable_resource_types(model.uri),
-            }
-            for model in self.manager.models()
-        ]
+        return [self._model_summary(model) for model in self.manager.models()]
+
+    def _model_summary(self, model: LifecycleModel) -> Dict[str, Any]:
+        return {
+            "uri": model.uri,
+            "name": model.name,
+            "version": model.version.version_number,
+            "phases": len(model),
+            "resource_types": self.manager.applicable_resource_types(model.uri),
+        }
 
     def publish_model_json(self, document: Dict[str, Any], actor: str = "") -> Dict[str, Any]:
         model = lifecycle_from_dict(document)
@@ -429,7 +428,6 @@ class GeleeService:
     def register_resource(self, document: Dict[str, Any]) -> Dict[str, Any]:
         descriptor = ResourceDescriptor.from_dict(document)
         self.environment.resource_manager.require(descriptor)
-        self.definitions.save_resource(descriptor)
         return descriptor.to_dict()
 
     def resource_types(self) -> List[str]:
@@ -1027,16 +1025,7 @@ class GeleeService:
                                 tie_key=lambda model: model.uri,
                                 descending=descending,
                                 sort_label=("-" if descending else "") + field)
-        return [
-            {
-                "uri": model.uri,
-                "name": model.name,
-                "version": model.version.version_number,
-                "phases": len(model),
-                "resource_types": self.manager.applicable_resource_types(model.uri),
-            }
-            for model in models
-        ], info
+        return [self._model_summary(model) for model in models], info
 
     def templates_page(self, page: PageRequest = None) -> Tuple[List[Dict[str, Any]], PageInfo]:
         page = page or PageRequest()

@@ -175,7 +175,7 @@ class ClusterView:
         """
         service = self._service
         discovered: List[Tuple[str, str]] = []
-        replication = getattr(service, "replication", None)
+        replication = service.replication
         if replication is not None:
             follower_ids = getattr(replication, "follower_ids", None)
             if callable(follower_ids):
@@ -184,7 +184,7 @@ class ClusterView:
                                       for fid in follower_ids())
                 except Exception:
                     pass  # follower table unavailable mid-shutdown
-        coordination = getattr(service, "coordination", None)
+        coordination = service.coordination
         if coordination is not None:
             try:
                 leader_id = coordination.status().get("leader_id")

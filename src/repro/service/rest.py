@@ -140,7 +140,7 @@ class RestRouter:
         # that grant was made); actors are client-declared on the wire, so
         # the transport refuses to let a request impersonate it.  Without
         # the grant the name is not special and stays usable.
-        reserved = getattr(self.service, "system_actor_reserved", None)
+        reserved = self.service.system_actor_reserved
         if reserved is not None and request.actor == reserved:
             raise PermissionDeniedError(
                 "actor {!r} is the scheduler's reserved system identity".format(

@@ -55,7 +55,6 @@ ERROR_CATALOG: List[Tuple[Type[BaseException], int, str]] = [
     (errors.LifecycleNotFoundError, 404, "MODEL_NOT_FOUND"),
     (errors.OperationNotFoundError, 404, "OPERATION_NOT_FOUND"),
     (errors.PermissionDeniedError, 403, "PERMISSION_DENIED"),
-    (errors.ConcurrencyError, 409, "STALE_VERSION"),
     (errors.JournalTruncatedError, 409, "JOURNAL_TRUNCATED"),
     (errors.StorageError, 500, "STORAGE_FAILED"),
     (errors.ReplicationError, 409, "REPLICATION_INVALID"),

@@ -4,22 +4,19 @@
 repositories for users and roles, resources and actions definitions,
 templates, as well as execution logs (including model evolution)."
 
-Everything is available both in memory (fast, used by tests and benchmarks)
-and file-backed (JSON documents on disk, used by the hosted service), behind
-the same repository interface.
+Each of these has one in-memory home: users and roles in
+:mod:`repro.accesscontrol`, action types in the environment's action
+registry, resources in its resource manager, templates in
+:class:`TemplateStore` and the execution log in :class:`ExecutionLog`.
+Durable instance state lives in :mod:`repro.persistence`, which writes
+through :mod:`.repository`'s crash-safe file helpers.
 """
 
-from .repository import InMemoryRepository, FileRepository, StoredRecord
 from .logstore import ExecutionLog, LogEntry
-from .definitions import DefinitionStore
 from .templates import TemplateStore
 
 __all__ = [
-    "InMemoryRepository",
-    "FileRepository",
-    "StoredRecord",
     "ExecutionLog",
     "LogEntry",
-    "DefinitionStore",
     "TemplateStore",
 ]

@@ -8,6 +8,7 @@ phases, statuses, visit histories, the kernel's owner/phase/model listings
 and the execution-log contents are identical to the pre-crash state.
 """
 
+import glob
 import json
 import os
 import threading
@@ -16,7 +17,7 @@ import pytest
 
 from repro.actions import library
 from repro.clock import SimulatedClock
-from repro.errors import ConcurrencyError, ServiceError, StorageError
+from repro.errors import ServiceError, StorageError
 from repro.events import Event, EventBus
 from repro.model import LifecycleBuilder
 from repro.persistence import (
@@ -37,7 +38,7 @@ from repro.runtime import LifecycleManager
 from repro.service.api import GeleeService
 from repro.service.rest import RestRouter
 from repro.replication import JournalShippingSource
-from repro.storage import ExecutionLog, FileRepository
+from repro.storage import ExecutionLog
 
 
 def bench_model(name="Persistence lifecycle"):
@@ -809,9 +810,13 @@ class TestOneInstanceStore:
             if name.startswith("instances.sqlite3"):
                 os.unlink(os.path.join(str(tmp_path), name))
         legacy = os.path.join(str(tmp_path), "instances")
-        repository = FileRepository(legacy)
+        os.makedirs(legacy)
         for document in documents:
-            repository.put(document["instance_id"], document)
+            record = {"record_id": document["instance_id"], "version": 1,
+                      "document": document}
+            with open(os.path.join(legacy, document["instance_id"] + ".json"), "w",
+                      encoding="utf-8") as handle:
+                json.dump(record, handle)
 
         with pytest.raises(StorageError, match="instances"):
             config.open_store()
@@ -822,9 +827,13 @@ class TestOneInstanceStore:
         assert not os.path.exists(config.store_location)
 
         # The one-off import documented in docs/PERSISTENCE.md.
-        imported = SQLiteStore(config.store_location)
-        imported.upsert_many(r.document for r in FileRepository(legacy).all())
-        imported.close()
+        imported = []
+        for path in sorted(glob.glob(os.path.join(legacy, "*.json"))):
+            with open(path, encoding="utf-8") as handle:
+                imported.append(json.load(handle)["document"])
+        store = SQLiteStore(config.store_location)
+        store.upsert_many(imported)
+        store.close()
         os.rename(legacy, legacy + ".imported")
 
         environment, bus, log, manager = build_runtime()

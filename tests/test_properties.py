@@ -13,7 +13,6 @@ from repro.serialization import (
     lifecycle_to_json,
     lifecycle_to_xml,
 )
-from repro.storage import InMemoryRepository
 
 # ------------------------------------------------------------------ strategies
 
@@ -129,33 +128,3 @@ class TestIdentifierProperties:
         uri = "{}://{}.org/{}".format(scheme, host, path)
         normalized = normalize_uri(uri)
         assert normalize_uri(normalized) == normalized
-
-
-class TestRepositoryProperties:
-    @given(st.dictionaries(st.text(alphabet=string.ascii_letters, min_size=1, max_size=8),
-                           st.dictionaries(st.sampled_from(["a", "b", "c"]), safe_values,
-                                           max_size=3),
-                           max_size=10))
-    @settings(max_examples=50, deadline=None)
-    def test_put_then_get_returns_latest_document(self, documents):
-        repository = InMemoryRepository()
-        for record_id, document in documents.items():
-            repository.put(record_id, document)
-            repository.put(record_id, dict(document, updated=True))
-        for record_id, document in documents.items():
-            stored = repository.get(record_id)
-            assert stored.version == 2
-            assert stored.document["updated"] is True
-        assert repository.count() == len(documents)
-
-    @given(st.lists(st.text(alphabet=string.ascii_letters, min_size=1, max_size=8),
-                    unique=True, max_size=10))
-    @settings(max_examples=50, deadline=None)
-    def test_delete_removes_exactly_the_deleted_ids(self, record_ids):
-        repository = InMemoryRepository()
-        for record_id in record_ids:
-            repository.put(record_id, {"x": 1})
-        to_delete = record_ids[::2]
-        for record_id in to_delete:
-            assert repository.delete(record_id)
-        assert set(repository.ids()) == set(record_ids) - set(to_delete)

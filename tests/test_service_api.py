@@ -58,8 +58,8 @@ class TestServiceModelOperations:
         descriptor = service.environment.adapter("Google Doc").create_resource(
             "Doc", owner="alice")
         stored = service.register_resource(descriptor.to_dict())
+        assert stored == descriptor.to_dict()
         assert stored["uri"] == descriptor.uri
-        assert service.definitions.resource(descriptor.uri) is not None
 
 
 class TestServiceInstanceOperations:
