@@ -11,7 +11,10 @@ viable:
   primary's record production rate;
 * **promotion latency** — kill the primary, promote the standby: the final
   stream drain plus scheduler re-arm plus the writable flip, i.e. the
-  write-unavailability window of a failover.
+  write-unavailability window of a failover;
+* **tail fetch** — the median fetch of a caught-up follower when the open
+  journal segment is 10% and 90% full.  A follower resumes from its read
+  cursor, so the fetch should cost its batch, not the segment before it.
 
 Results are printed and appended to ``BENCH_replication.json``.  The
 workload size scales down via ``BENCH_REPLICATION_INSTANCES`` for CI smoke
@@ -20,6 +23,7 @@ runs (the stamped parameter set keeps those distinguishable).
 
 import os
 import shutil
+import statistics
 import tempfile
 import time
 
@@ -32,6 +36,13 @@ from repro.service import GeleeService
 from .conftest import report
 
 INSTANCES = int(os.environ.get("BENCH_REPLICATION_INSTANCES", 10_000))
+#: Records in the open segment of the tail-fetch run (``Journal``'s default
+#: ``segment_max_records``), and fetches timed at each fill level.
+TAIL_SEGMENT = 10_000
+TAIL_FETCHES = 40
+#: Journal records one replicated write appends (as e2ebench's
+#: ``replicated_writes`` traces them).
+RECORDS_PER_WRITE = 7
 
 
 def _bench_model():
@@ -62,6 +73,47 @@ def _drive_wave(service, model, count, offset=0):
         lambda kernel, iid: kernel.advance(iid, actor="alice",
                                          to_phase_id="review"))
     return ids
+
+
+def _tail_fetch_ms(directory):
+    """Median ms of a caught-up follower's fetch of one write's records,
+    with the open segment 10% and then 90% full."""
+    clock = SimulatedClock()
+    service = GeleeService(clock=clock, persistence=PersistenceConfig(
+        directory, fsync="never", segment_max_records=TAIL_SEGMENT))
+    primary = ReplicationPrimary(service)
+    journal = service.persistence.journal
+
+    def append(count):
+        for _ in range(count):
+            journal.append("instance.advanced", clock.now(), "inst-tail",
+                           actor="alice",
+                           payload={"from": "work", "to": "review",
+                                    "origin_request_id": "req-tail"})
+
+    medians = {}
+    after = 0
+    try:
+        for share in (0.1, 0.9):
+            append(int(TAIL_SEGMENT * share) - journal.last_seq)
+            while True:  # catch up
+                batch = primary.read_batch(after, follower_id="tail")
+                after = batch.next_seq
+                if batch.caught_up:
+                    break
+            samples = []
+            for _ in range(TAIL_FETCHES):
+                append(RECORDS_PER_WRITE)
+                started = time.perf_counter()
+                batch = primary.read_batch(after, follower_id="tail")
+                samples.append(time.perf_counter() - started)
+                assert batch.count == RECORDS_PER_WRITE
+                after = batch.next_seq
+            medians[share] = statistics.median(samples) * 1000
+        assert len(journal.segment_files()) == 1
+    finally:
+        service.close()
+    return medians
 
 
 def test_bench_replication_apply_and_promotion():
@@ -130,11 +182,24 @@ def test_bench_replication_apply_and_promotion():
         promoted.manager.advance(tail_ids[-1], actor="alice",
                                  to_phase_id="review")
 
+        # -- tail fetch: a caught-up follower, short and long open segment --
+        fetch_ms = _tail_fetch_ms(os.path.join(root, "tail"))
+        rows.append("tail fetch       : {:8.3f} ms at 10% / {:.3f} ms at 90% of "
+                    "a {}-record segment".format(fetch_ms[0.1], fetch_ms[0.9],
+                                                 TAIL_SEGMENT))
+        data["tail_fetch"] = {"segment_records": TAIL_SEGMENT,
+                              "fetches": TAIL_FETCHES,
+                              "records_per_fetch": RECORDS_PER_WRITE,
+                              "median_ms_at_10pct": round(fetch_ms[0.1], 4),
+                              "median_ms_at_90pct": round(fetch_ms[0.9], 4)}
+
         report("E16 — replication: apply throughput and promotion latency",
                rows, slug="replication", data=data)
         # A standby is only warm if it applies far faster than one record
         # per millisecond, and failover must complete in seconds.
         assert apply_rate > 1_000
         assert promote_ms < 30_000
+        # A fetch costs its batch, not the open segment before it.
+        assert fetch_ms[0.9] < 3 * fetch_ms[0.1]
     finally:
         shutil.rmtree(root, ignore_errors=True)

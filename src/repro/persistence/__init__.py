@@ -33,9 +33,11 @@ from .journal import (
     FSYNC_POLICIES,
     Journal,
     JournalRecord,
+    ReadCursor,
     list_segments,
     scan_last_seq,
     scan_oldest_seq,
+    scan_positions,
     scan_records,
 )
 from .recovery import (
@@ -54,6 +56,7 @@ __all__ = [
     "JournalReplayer",
     "PersistenceConfig",
     "PersistenceCoordinator",
+    "ReadCursor",
     "RecoveryReport",
     "SQLiteStore",
     "SnapshotManifest",
@@ -65,5 +68,6 @@ __all__ = [
     "restore_snapshot",
     "scan_last_seq",
     "scan_oldest_seq",
+    "scan_positions",
     "scan_records",
 ]

@@ -35,13 +35,14 @@ Design points, in the spirit of classic WAL implementations:
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import threading
 import time
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from ..errors import JournalTruncatedError, StorageError
 from ..events import Event
@@ -77,7 +78,25 @@ def list_segments(directory: str) -> List[str]:
     )
 
 
-def _committed(path: str, final: bool) -> Iterator[Tuple["JournalRecord", int]]:
+class ReadCursor(NamedTuple):
+    """Where a read ended: just past record ``seq``, ``offset`` bytes into
+    ``segment``.
+
+    A reader keeps the cursor of the last record it was given and passes it
+    to its next read (:func:`scan_positions`).  It is only a hint: it counts
+    when the next read starts at ``seq`` and ``segment`` is still listed,
+    and it holds because committed bytes are never rewritten (a torn tail
+    lies past every committed record, and truncation deletes whole
+    segments).
+    """
+
+    segment: str
+    seq: int
+    offset: int
+
+
+def _committed(path: str, final: bool,
+               start: int = 0) -> Iterator[Tuple["JournalRecord", int]]:
     """Yield ``(record, end_offset)`` for each committed record of a segment.
 
     The journal's one commit rule, shared by every reader and by the
@@ -86,21 +105,28 @@ def _committed(path: str, final: bool) -> Iterator[Tuple["JournalRecord", int]]:
     record is a torn tail (an interrupted append): iteration simply ends
     before it.  An undecodable line in a sealed segment, or one followed by
     a committed record, is damage and raises
-    :class:`~repro.errors.StorageError`.  ``end_offset`` is the byte
-    offset just past the record's line (the writer truncates to the last
-    one).  The file is read at the call, so a missing one raises
+    :class:`~repro.errors.StorageError`.  ``end_offset`` is the absolute
+    byte offset just past the record's line (the writer truncates to the
+    last one).  ``start`` is a byte offset where a line begins (a
+    :class:`ReadCursor`'s): only the lines from there on are read, under the
+    same rule.  The file is read at the call, so a missing one raises
     :class:`FileNotFoundError` there, not on the first ``next``.
     """
-    # Text, split on "\n" only; bytes that are not UTF-8 survive as lone
-    # surrogates, so a damaged tail is a bad line, never a failed read.
-    with open(path, encoding="utf-8", errors="surrogateescape",
-              newline="\n") as handle:
-        lines = handle.readlines()
+    # Bytes decoded as text split on "\n" only; bytes that are not UTF-8
+    # survive as lone surrogates, so a damaged tail is a bad line, never a
+    # failed read.  The wrapper decodes from where the byte handle was
+    # seeked: a text handle only seeks to its own tell() cookies.
+    with open(path, "rb") as raw:
+        raw.seek(start)
+        with io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape",
+                              newline="\n") as handle:
+            lines = handle.readlines()
 
     def records() -> Iterator[Tuple[JournalRecord, int]]:
-        offset = 0
+        offset = start
         torn = None
-        for number, line in enumerate(lines, 1):
+        for line in lines:
+            line_start = offset
             # The writer's lines are ASCII (json.dumps escapes the rest).
             ascii_line = line.isascii()
             offset += len(line) if ascii_line else \
@@ -116,28 +142,33 @@ def _committed(path: str, final: bool) -> Iterator[Tuple["JournalRecord", int]]:
                     continue
                 if not final:
                     raise StorageError(
-                        "corrupt journal record in {!r} line {}: {}".format(
-                            path, number, exc))
-                torn = torn or (number, exc)
+                        "corrupt journal record in {!r} at byte {}: {}".format(
+                            path, line_start, exc))
+                torn = torn or (line_start, exc)
                 continue
             if torn is not None:
                 raise StorageError(
-                    "corrupt journal record in {!r} line {} is followed by "
+                    "corrupt journal record in {!r} at byte {} is followed by "
                     "committed records: {}".format(path, *torn))
             yield record, offset
 
     return records()
 
 
-def _last_seq(directory: str, segments: List[str]) -> Tuple[int, int]:
+def _last_seq(directory: str, segments: List[str],
+              cursor: ReadCursor = None) -> Tuple[int, int]:
     """``(last committed seq, byte offset past it)`` of the final segment.
 
     A final segment with no committed record proves only that ``first - 1``
     was reached before it opened (its name is the seq of its first record).
+    A ``cursor`` into the final segment resumes the scan at its offset.
     """
     name = segments[-1]
     last_seq, end = (_segment_first_seq(name) or 1) - 1, 0
-    for record, end in _committed(os.path.join(directory, name), final=True):
+    if cursor is not None and cursor.segment == name:
+        last_seq, end = cursor.seq, cursor.offset
+    for record, end in _committed(os.path.join(directory, name), final=True,
+                                  start=end):
         last_seq = record.seq
     return last_seq, end
 
@@ -160,19 +191,20 @@ def scan_oldest_seq(directory: str) -> int:
     return 0
 
 
-def scan_last_seq(directory: str) -> int:
+def scan_last_seq(directory: str, cursor: ReadCursor = None) -> int:
     """The newest committed sequence number on disk — read-only.
 
     The same answer the writer reaches on reopen (:class:`Journal`), without
     its torn-tail repair: followers observing another process's directory
-    must never truncate.  Only the final segment is read.
+    must never truncate.  Only the final segment is read, from ``cursor``'s
+    offset when the cursor points into it.
     """
     while True:
         segments = list_segments(directory)
         if not segments:
             return 0
         try:
-            return _last_seq(directory, segments)[0]
+            return _last_seq(directory, segments, cursor)[0]
         except FileNotFoundError:
             # The final segment can only vanish once a newer one exists
             # (truncation never removes the newest): list again.
@@ -184,10 +216,10 @@ def scan_records(directory: str, after_seq: int = 0,
                  strict: bool = False) -> Iterator[JournalRecord]:
     """Yield committed records with ``seq > after_seq`` from a journal directory.
 
-    The shared read path of :meth:`Journal.read` (live journal, segments
-    snapshotted under its lock) and the replication stream (read-only
-    follower over another process's directory).  Two concurrent-reader
-    guarantees make it rotation-safe:
+    The shared read path (through :func:`scan_positions`) of
+    :meth:`Journal.read` (live journal, segments snapshotted under its lock)
+    and the replication stream (read-only follower over another process's
+    directory).  Two concurrent-reader guarantees make it rotation-safe:
 
     * a segment that vanishes between listing and opening was truncated by
       a concurrent checkpoint — that raises the *resumable*
@@ -199,10 +231,33 @@ def scan_records(directory: str, after_seq: int = 0,
       raises :class:`JournalTruncatedError` instead of silently skipping
       the gap — a streaming follower must re-bootstrap, not lose records.
     """
+    for record, _, _ in scan_positions(directory, after_seq, segments, strict):
+        yield record
+
+
+def scan_positions(directory: str, after_seq: int = 0,
+                   segments: List[str] = None, strict: bool = False,
+                   cursor: ReadCursor = None,
+                   ) -> Iterator[Tuple[JournalRecord, str, int]]:
+    """:func:`scan_records`, yielding ``(record, segment, end_offset)``.
+
+    A reader that resumes keeps ``ReadCursor(segment, record.seq,
+    end_offset)`` of the last record it kept and passes it back as
+    ``cursor``.  When ``cursor.seq == after_seq`` and its segment is still
+    listed, the scan seeks to its offset and decodes only what follows, so
+    a follower's fetch costs its batch, not the open segment before it.
+    Otherwise the cursor is ignored and the scan starts from the listing;
+    the records yielded and the errors raised are the same either way.
+    """
     if segments is None:
         segments = list_segments(directory)
+    first, start = 0, 0
+    if cursor is not None and cursor.seq == after_seq \
+            and cursor.segment in segments:
+        first, start = segments.index(cursor.segment), cursor.offset
     expected = after_seq + 1
-    for position, name in enumerate(segments):
+    for position in range(first, len(segments)):
+        name = segments[position]
         last_segment = position == len(segments) - 1
         # Skip whole segments that the next segment's first seq proves
         # are entirely covered by ``after_seq``.
@@ -212,7 +267,8 @@ def scan_records(directory: str, after_seq: int = 0,
                 continue
         path = os.path.join(directory, name)
         try:
-            committed = _committed(path, final=last_segment)
+            committed = _committed(path, final=last_segment,
+                                   start=start if position == first else 0)
         except FileNotFoundError:
             raise JournalTruncatedError(
                 "journal segment {!r} was truncated away while reading; "
@@ -221,7 +277,7 @@ def scan_records(directory: str, after_seq: int = 0,
         except OSError as exc:
             raise StorageError("could not read journal segment {!r}: {}".format(
                 path, exc))
-        for record, _ in committed:
+        for record, end in committed:
             if record.seq > after_seq:
                 if strict and record.seq != expected:
                     raise JournalTruncatedError(
@@ -231,7 +287,7 @@ def scan_records(directory: str, after_seq: int = 0,
                             expected, record.seq - 1),
                         oldest_available=record.seq)
                 expected = record.seq + 1
-                yield record
+                yield record, name, end
 
 
 @dataclass
@@ -499,13 +555,20 @@ class Journal:
         :func:`scan_records`); streaming readers use this so rotation and
         truncation can never silently swallow records.
         """
+        return (record for record, _, _ in self.read_positions(after_seq, strict))
+
+    def read_positions(self, after_seq: int = 0, strict: bool = False,
+                       cursor: ReadCursor = None,
+                       ) -> Iterator[Tuple[JournalRecord, str, int]]:
+        """:meth:`read` with each record's segment and end offset, resuming
+        at ``cursor`` when it is still good (see :func:`scan_positions`)."""
         with self._lock:
             # Make sure everything appended so far is visible to the reader.
             if self._handle is not None:
                 self._handle.flush()
             segments = self.segment_files()
-        return scan_records(self._directory, after_seq=after_seq,
-                            segments=segments, strict=strict)
+        return scan_positions(self._directory, after_seq=after_seq,
+                              segments=segments, strict=strict, cursor=cursor)
 
     # -------------------------------------------------------------- truncation
     def truncate_through(self, seq: int) -> List[str]:

@@ -12,15 +12,18 @@ journal's own lock discipline.
 Follower cursors are remembered per ``follower_id`` (replicas send theirs
 on every poll), so ``GET /v2/runtime/replication`` on the primary answers
 the operational question "how far behind is each standby?" without asking
-the standbys.
+the standbys.  Each follower also gets journal read cursors
+(:class:`~repro.persistence.journal.ReadCursor`), so its next fetch
+decodes only the records appended since its last one.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Tuple
 
 from ..errors import ReplicationError
+from ..persistence.journal import ReadCursor
 from .stream import (
     DEFAULT_BATCH_LIMIT,
     BootstrapPayload,
@@ -43,6 +46,11 @@ class ReplicationPrimary(ReplicationSource):
         self._coordinator = service.persistence
         #: follower id -> last observed cursor + lag.
         self._followers: Dict[str, Dict[str, Any]] = {}
+        #: follower id -> where its last two reads ended, newest first.  A
+        #: fetch resumes from whichever matches its ``after_seq``, so a read
+        #: in between (a retry, or a head probe at another seq) does not
+        #: cost the next fetch its cursor.
+        self._cursors: Dict[str, Tuple[ReadCursor, ...]] = {}
         self._lock = threading.Lock()
         service.replication = self
 
@@ -64,8 +72,13 @@ class ReplicationPrimary(ReplicationSource):
                    follower_id: str = None) -> StreamBatch:
         limit = limit or DEFAULT_BATCH_LIMIT
         journal = self._coordinator.journal
+        with self._lock:
+            cursors = self._cursors.get(follower_id, ())
+        hint = next((cursor for cursor in cursors if cursor.seq == after_seq),
+                    None)
         records = []
-        for record in journal.read(after_seq=after_seq, strict=True):
+        for record, segment, end in journal.read_positions(
+                after_seq=after_seq, strict=True, cursor=hint):
             records.append(record)
             if len(records) >= limit:
                 break
@@ -73,6 +86,9 @@ class ReplicationPrimary(ReplicationSource):
         head = max(next_seq, journal.last_seq)
         if follower_id:
             with self._lock:
+                if records:
+                    ended = ReadCursor(segment, next_seq, end)
+                    self._cursors[follower_id] = (ended,) + cursors[:1]
                 self._followers[follower_id] = {
                     "acked_seq": after_seq,
                     "streamed_seq": next_seq,

@@ -47,9 +47,10 @@ from typing import Any, Dict, List, Optional
 from ..persistence.coordinator import PersistenceConfig
 from ..persistence.journal import (
     JournalRecord,
+    ReadCursor,
     scan_last_seq,
     scan_oldest_seq,
-    scan_records,
+    scan_positions,
 )
 from ..persistence.snapshot import SnapshotManifest
 
@@ -192,6 +193,10 @@ class JournalShippingSource(ReplicationSource):
     shared or replicated filesystem.  All reads are repair-free (torn tails
     are tolerated, never truncated: repair belongs to the writing process),
     so any number of followers can tail one primary safely.
+
+    The source keeps a :class:`~repro.persistence.journal.ReadCursor` past
+    the last record it returned, so each batch and each head poll decodes
+    only what was appended since.
     """
 
     def __init__(self, config):
@@ -200,6 +205,7 @@ class JournalShippingSource(ReplicationSource):
         if isinstance(config, str):
             config = PersistenceConfig(config)
         self._config = config
+        self._cursor: Optional[ReadCursor] = None
 
     @property
     def config(self) -> PersistenceConfig:
@@ -224,11 +230,16 @@ class JournalShippingSource(ReplicationSource):
         directory = self._config.journal_directory
         records: List[JournalRecord] = []
         overflow = None
-        for record in scan_records(directory, after_seq=after_seq, strict=True):
+        for record, segment, end in scan_positions(
+                directory, after_seq=after_seq, strict=True,
+                cursor=self._cursor):
             if len(records) >= limit:
                 overflow = record
                 break
             records.append(record)
+            # Only records the batch keeps move the cursor: one left on the
+            # overflow record would not match the next batch's after_seq.
+            self._cursor = ReadCursor(segment, record.seq, end)
         next_seq = records[-1].seq if records else after_seq
         if overflow is not None:
             # The batch is full and more records provably exist: report the
@@ -237,11 +248,11 @@ class JournalShippingSource(ReplicationSource):
             # draining, and the final (under-limit) batch scans exactly.
             head = overflow.seq
         else:
-            head = max(next_seq, scan_last_seq(directory))
+            head = max(next_seq, self.head_seq())
         return StreamBatch(records=records, next_seq=next_seq, head_seq=head)
 
     def head_seq(self) -> int:
-        return scan_last_seq(self._config.journal_directory)
+        return scan_last_seq(self._config.journal_directory, self._cursor)
 
     def oldest_seq(self) -> int:
         return scan_oldest_seq(self._config.journal_directory)

@@ -426,6 +426,15 @@ class GeleeService:
 
     # -------------------------------------------------------------- resources
     def register_resource(self, document: Dict[str, Any]) -> Dict[str, Any]:
+        """Validate a resource descriptor and echo it (``POST /resources``,
+        ``POST /v2/resources``).
+
+        Despite the name nothing is stored: the descriptor is parsed, its
+        resource must exist in its adapter (else
+        :class:`~repro.errors.ResourceNotFoundError`), and the normalised
+        descriptor comes back.  Resources are created through an
+        environment adapter, and instances take the descriptor directly.
+        """
         descriptor = ResourceDescriptor.from_dict(document)
         self.environment.resource_manager.require(descriptor)
         return descriptor.to_dict()

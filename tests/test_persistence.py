@@ -17,7 +17,7 @@ import pytest
 
 from repro.actions import library
 from repro.clock import SimulatedClock
-from repro.errors import ServiceError, StorageError
+from repro.errors import JournalTruncatedError, ServiceError, StorageError
 from repro.events import Event, EventBus
 from repro.model import LifecycleBuilder
 from repro.persistence import (
@@ -25,12 +25,15 @@ from repro.persistence import (
     JournalRecord,
     PersistenceConfig,
     PersistenceCoordinator,
+    ReadCursor,
     SQLiteStore,
     SnapshotManifest,
     SnapshotStore,
     document_for,
+    list_segments,
     recover_into,
     scan_last_seq,
+    scan_positions,
     scan_records,
 )
 from repro.plugins import build_standard_environment
@@ -236,6 +239,119 @@ class TestCommitRule:
             list(scan_records(directory))
         with pytest.raises(StorageError):
             Journal(directory, fsync="never")
+
+
+# ============================================================ read cursors
+def follow(directory, after_seq, cursor, limit=None):
+    """One strict read resuming at ``cursor``, as a follower makes it: the
+    records it keeps and the cursor past the last of them."""
+    records = []
+    for record, segment, end in scan_positions(directory, after_seq,
+                                               strict=True, cursor=cursor):
+        records.append(record)
+        cursor = ReadCursor(segment, record.seq, end)
+        if limit is not None and len(records) >= limit:
+            break
+    return records, cursor
+
+
+def fresh(directory, after_seq):
+    """What a cursor-free strict scan yields after ``after_seq``."""
+    return [record.to_dict()
+            for record in scan_records(directory, after_seq, strict=True)]
+
+
+class TestReadCursor:
+    """A read cursor is only a hint: a resumed read yields exactly what a
+    fresh scan yields and raises exactly what it raises."""
+
+    def _append(self, journal, count, kind="k"):
+        for _ in range(count):
+            journal.append(kind, SimulatedClock().now(), "s")
+
+    def test_resumed_reads_cross_a_rotation(self, tmp_path):
+        directory = str(tmp_path)
+        journal = Journal(directory, fsync="never")
+        self._append(journal, 5)
+        records, cursor = follow(directory, 0, None, limit=3)
+        assert [r.seq for r in records] == [1, 2, 3]
+        journal.rotate()
+        self._append(journal, 4)
+        # The cursor now sits mid-way through a sealed segment.
+        records, cursor = follow(directory, 3, cursor)
+        assert [r.to_dict() for r in records] == fresh(directory, 3)
+        assert [r.seq for r in records] == list(range(4, 10))
+        assert cursor.segment == list_segments(directory)[-1]
+        self._append(journal, 2)
+        records, cursor = follow(directory, 9, cursor)
+        assert [r.to_dict() for r in records] == fresh(directory, 9)
+        assert cursor.seq == 11
+        assert scan_last_seq(directory, cursor) == scan_last_seq(directory) == 11
+
+    def test_cursor_into_a_truncated_segment_raises_like_a_fresh_scan(
+            self, tmp_path):
+        directory = str(tmp_path)
+        journal = Journal(directory, fsync="never", segment_max_records=4)
+        self._append(journal, 6)
+        lagging = follow(directory, 0, None, limit=2)[1]
+        current = follow(directory, 0, None)[1]
+        assert lagging.segment != current.segment
+        self._append(journal, 6)
+        assert journal.truncate_through(4) == [lagging.segment]
+        with pytest.raises(JournalTruncatedError) as resumed:
+            follow(directory, 2, lagging)
+        with pytest.raises(JournalTruncatedError) as scanned:
+            fresh(directory, 2)
+        assert resumed.value.oldest_available == \
+            scanned.value.oldest_available == 5
+        # A cursor whose segment survived the truncation still resumes.
+        records, _ = follow(directory, 6, current)
+        assert [r.to_dict() for r in records] == fresh(directory, 6)
+        assert [r.seq for r in records] == list(range(7, 13))
+
+    def test_torn_tail_holds_the_cursor_until_the_line_completes(
+            self, tmp_path):
+        directory = str(tmp_path)
+        journal = Journal(directory, fsync="never")
+        self._append(journal, 3)
+        journal.close()
+        _, cursor = follow(directory, 0, None)
+        path = os.path.join(directory, cursor.segment)
+        line = json.dumps(JournalRecord(
+            seq=4, kind="k.late", timestamp=SimulatedClock().now().isoformat(),
+            subject_id="s").to_dict())
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(line[:10])  # an append caught half-way
+        assert follow(directory, 3, cursor) == ([], cursor)
+        assert fresh(directory, 3) == []
+        assert scan_last_seq(directory, cursor) == scan_last_seq(directory) == 3
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(line[10:] + "\n")
+        records, resumed = follow(directory, 3, cursor)
+        assert [r.to_dict() for r in records] == fresh(directory, 3)
+        assert [r.kind for r in records] == ["k.late"]
+        assert resumed.offset == os.path.getsize(path)
+        # Damage past the cursor is damage to a resumed read too.
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write("#damage#\n" + line.replace('"seq":4', '"seq":5') + "\n")
+        with pytest.raises(StorageError):
+            follow(directory, 4, resumed)
+        with pytest.raises(StorageError):
+            fresh(directory, 4)
+
+    def test_stale_cursor_is_ignored(self, tmp_path):
+        directory = str(tmp_path)
+        journal = Journal(directory, fsync="never", segment_max_records=4)
+        self._append(journal, 10)
+        _, cursor = follow(directory, 0, None, limit=5)
+        assert cursor.seq == 5
+        for after_seq in (0, 3, 4, 6, 10):
+            records, _ = follow(directory, after_seq, cursor)
+            assert [r.to_dict() for r in records] == fresh(directory, after_seq)
+        # A matching seq in a segment that is not listed is ignored too.
+        elsewhere = ReadCursor("journal-{:016d}.jsonl".format(99), 5, 1)
+        records, _ = follow(directory, 5, elsewhere)
+        assert [r.to_dict() for r in records] == fresh(directory, 5)
 
 
 # ========================================================== long-poll waits

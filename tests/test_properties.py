@@ -1,12 +1,24 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
+import itertools
+import shutil
 import string
+import tempfile
 
 from hypothesis import given, settings, strategies as st
 
+from repro.clock import SimulatedClock
+from repro.errors import JournalTruncatedError
 from repro.identifiers import normalize_uri, slugify
 from repro.model import ActionCall, LifecycleBuilder, LifecycleModel, Phase, BEGIN
 from repro.model.lifecycle import LifecycleModel as Model
+from repro.persistence import (
+    Journal,
+    ReadCursor,
+    scan_last_seq,
+    scan_positions,
+    scan_records,
+)
 from repro.serialization import (
     lifecycle_from_json,
     lifecycle_from_xml,
@@ -128,3 +140,84 @@ class TestIdentifierProperties:
         uri = "{}://{}.org/{}".format(scheme, host, path)
         normalized = normalize_uri(uri)
         assert normalize_uri(normalized) == normalized
+
+
+# ------------------------------------------------------------ journal cursors
+
+journal_steps = st.lists(st.one_of(
+    st.tuples(st.just("append"), st.integers(1, 7)),
+    st.tuples(st.just("rotate"), st.just(0)),
+    st.tuples(st.just("truncate"), st.integers(0, 60)),
+    st.tuples(st.just("reopen"), st.just(0)),
+    st.tuples(st.just("read"), st.integers(1, 9)),
+    st.tuples(st.just("rewind"), st.integers(1, 6)),
+), max_size=40)
+
+
+def fresh_read(directory, after_seq, limit):
+    """Up to ``limit`` records of a cursor-free strict scan, as dicts, or
+    the truncation it raised."""
+    try:
+        return [record.to_dict() for record in itertools.islice(
+            scan_records(directory, after_seq, strict=True), limit)]
+    except JournalTruncatedError as exc:
+        return ("truncated", exc.oldest_available)
+
+
+def resumed_read(directory, after_seq, limit, cursor):
+    """The same read resuming at ``cursor``: its outcome, and the cursor
+    past the last record it kept."""
+    records = []
+    try:
+        for record, segment, end in scan_positions(
+                directory, after_seq, strict=True, cursor=cursor):
+            records.append(record.to_dict())
+            cursor = ReadCursor(segment, record.seq, end)
+            if len(records) >= limit:
+                break
+    except JournalTruncatedError as exc:
+        return ("truncated", exc.oldest_available), cursor
+    return records, cursor
+
+
+class TestJournalCursorProperties:
+    @given(journal_steps)
+    @settings(max_examples=150, deadline=None)
+    def test_cursor_follower_sees_what_fresh_scans_see(self, steps):
+        """A follower resuming from its read cursor through appends,
+        rotations, truncations, reopens and rewinds (a retry from an older
+        seq, cursor kept) reads exactly the records a fresh strict scan
+        reads, and is refused exactly where it is."""
+        directory = tempfile.mkdtemp(prefix="gelee-cursor-")
+        journal = Journal(directory, fsync="never", segment_max_records=5)
+        clock = SimulatedClock()
+        after_seq, cursor = 0, None
+        try:
+            for step, argument in steps:
+                if step == "append":
+                    for _ in range(argument):
+                        journal.append("k", clock.now(), "s")
+                elif step == "rotate":
+                    journal.rotate()
+                elif step == "truncate":
+                    journal.truncate_through(argument)
+                elif step == "reopen":
+                    journal.close()
+                    journal = Journal(directory, fsync="never",
+                                      segment_max_records=5)
+                elif step == "rewind":
+                    after_seq = max(0, after_seq - argument)
+                else:
+                    expected = fresh_read(directory, after_seq, argument)
+                    outcome, moved = resumed_read(directory, after_seq,
+                                                  argument, cursor)
+                    assert outcome == expected
+                    assert scan_last_seq(directory, cursor) == \
+                        scan_last_seq(directory)
+                    if isinstance(expected, tuple):
+                        after_seq = expected[1] - 1  # re-bootstrap past the gap
+                    elif expected:
+                        cursor, after_seq = moved, moved.seq
+        finally:
+            journal.close()
+            shutil.rmtree(directory, ignore_errors=True)

@@ -23,8 +23,14 @@ from repro.errors import (
 )
 from repro.model import LifecycleBuilder
 from repro.persistence import Journal, PersistenceConfig
-from repro.persistence.journal import list_segments, scan_last_seq, scan_records
+from repro.persistence.journal import (
+    JournalRecord,
+    list_segments,
+    scan_last_seq,
+    scan_records,
+)
 from repro.replication import (
+    HttpReplicationSource,
     JournalShippingSource,
     ReadReplica,
     ReplicationPrimary,
@@ -160,6 +166,101 @@ class TestJournalStreaming:
         from repro.replication import StreamBatch
         clone = StreamBatch.from_dict(batch.to_dict())
         assert [r.seq for r in clone.records] == [r.seq for r in batch.records]
+
+
+# ==================================================== follower read cursors
+@pytest.fixture
+def decoded(monkeypatch):
+    """The seq of every record decoded by ``JournalRecord.from_dict``."""
+    seqs = []
+    decode = JournalRecord.from_dict.__func__
+
+    def counting(cls, data):
+        record = decode(cls, data)
+        seqs.append(record.seq)
+        return record
+
+    monkeypatch.setattr(JournalRecord, "from_dict", classmethod(counting))
+    return seqs
+
+
+class TestFollowerReadCursors:
+    """A follower's fetch decodes the records it is sent, not the open
+    segment before them."""
+
+    def _primary(self, root, count=20):
+        config, primary = build_primary(root)
+        model = replication_model()
+        primary.manager.publish_model(model, actor="alice")
+        seed_instances(primary, model, count)
+        return config, primary, model
+
+    def test_resumed_fetch_decodes_only_new_records(self, root, decoded):
+        _, primary, model = self._primary(root)
+        first = primary.replication.read_batch(0, follower_id="standby")
+        assert first.caught_up and first.next_seq > 50
+        seed_instances(primary, model, 1, prefix="late")
+        del decoded[:]
+        batch = primary.replication.read_batch(first.next_seq,
+                                               follower_id="standby")
+        assert batch.count > 0
+        assert decoded == [record.seq for record in batch.records]
+
+    def test_each_follower_resumes_from_its_own_cursor(self, root, decoded):
+        _, primary, _ = self._primary(root)
+        replication = primary.replication
+        cursors = {"a": 0, "b": 0}
+        for limit in (10, 7, 12, 5):
+            for follower in ("a", "b"):
+                del decoded[:]
+                batch = replication.read_batch(
+                    cursors[follower], limit=limit + (follower == "b"),
+                    follower_id=follower)
+                assert batch.records[0].seq == cursors[follower] + 1
+                if cursors[follower]:
+                    assert decoded == [record.seq for record in batch.records]
+                cursors[follower] = batch.next_seq
+        assert cursors == {"a": 34, "b": 38}
+
+    def test_shipping_source_resumes_and_polls_from_its_cursor(
+            self, root, decoded):
+        config, primary, model = self._primary(root)
+        source = JournalShippingSource(config)
+        first = source.read_batch(0, limit=7)
+        assert first.next_seq == 7 and first.head_seq == 8
+        del decoded[:]
+        # The overflow record (8) did not move the cursor, so the next
+        # batch resumes past 7 and decodes 8..14 plus its own overflow.
+        second = source.read_batch(7, limit=7)
+        assert decoded == list(range(8, 16))
+        rest = source.read_batch(second.next_seq)
+        assert rest.caught_up and rest.head_seq == scan_last_seq(
+            config.journal_directory)
+        seed_instances(primary, model, 1, prefix="late")
+        del decoded[:]
+        head = source.head_seq()
+        assert head > rest.next_seq
+        assert decoded == list(range(rest.next_seq + 1, head + 1))
+        del decoded[:]
+        batch = source.read_batch(rest.next_seq)
+        assert batch.head_seq == head and batch.caught_up
+        assert decoded == list(range(rest.next_seq + 1, head + 1))
+
+    def test_head_probe_keeps_the_fetch_cursor(self, root, decoded):
+        _, primary, model = self._primary(root)
+        client = GeleeClient.in_process(router=RestRouter(service=primary))
+        source = HttpReplicationSource(client=client, follower_id="standby")
+        first = source.read_batch(0)
+        assert first.caught_up
+        seed_instances(primary, model, 2, prefix="late")
+        del decoded[:]
+        # The probe reads one record past the follower's position under the
+        # same follower id; the fetch after it must still resume.
+        assert source.head_seq() > first.next_seq
+        batch = source.read_batch(first.next_seq)
+        assert batch.count > 1
+        # Decodes on both sides of the wire, none at or before the cursor.
+        assert min(decoded) == first.next_seq + 1
 
 
 # ============================================================= read replica
